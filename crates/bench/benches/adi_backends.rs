@@ -2,14 +2,16 @@
 //! (in-memory ADI + audit-trail replay at start-up) vs. its announced
 //! next implementation (a durable store, our `storage::PersistentAdi`).
 //!
-//! Expected shape: per-decision, memory wins slightly (no journaling);
-//! at start-up, the journal-backed store wins increasingly with history
-//! because compaction bounds its replay, while trail replay scales with
-//! total decisions ever made.
+//! Expected shape: per-decision, memory wins slightly (no journaling —
+//! both rows run the symbolized `DecisionService`, in memory and opened
+//! durable, so the gap is one buffered journal frame per grant plus the
+//! closing fsync); at start-up, the journal-backed store wins
+//! increasingly with history because compaction bounds its replay,
+//! while trail replay scales with total decisions ever made.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use msod::{MemoryAdi, RetainedAdi};
-use permis::Pdp;
+use permis::{DecisionService, Pdp};
 use storage::PersistentAdi;
 use workflow::scenarios::{gen_requests, workload_policy_xml, WorkloadConfig};
 
@@ -24,14 +26,21 @@ fn per_decision_overhead(c: &mut Criterion) {
     let policy_xml = workload_policy_xml(&cfg);
     let requests = gen_requests(&cfg, 3);
 
+    // Both sides run the one symbolized pipeline through the real
+    // constructors; the only difference is the journal under it, so the
+    // gap between the two rows *is* the durability overhead. One shard
+    // each, so the durable row closes with one fsync, not sixteen.
     group.bench_function("memory", |b| {
         b.iter_batched(
-            || Pdp::from_xml(&policy_xml, b"k".to_vec()).unwrap(),
-            |mut pdp| {
+            || {
+                let p = policy::parse_rbac_policy(&policy_xml).unwrap();
+                DecisionService::symbolized_with_shard_count(p, b"k".to_vec(), 1)
+            },
+            |svc| {
                 for req in &requests {
-                    pdp.decide(req);
+                    svc.decide(req);
                 }
-                pdp
+                svc
             },
             criterion::BatchSize::LargeInput,
         )
@@ -39,22 +48,23 @@ fn per_decision_overhead(c: &mut Criterion) {
 
     let dir = std::env::temp_dir().join(format!("bench-adi-dec-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
     let counter = std::cell::Cell::new(0u64);
     group.bench_function("persistent", |b| {
         b.iter_batched(
             || {
                 counter.set(counter.get() + 1);
-                let path = dir.join(format!("adi-{}.log", counter.get()));
+                let data_dir = dir.join(format!("adi-{}", counter.get()));
                 let p = policy::parse_rbac_policy(&policy_xml).unwrap();
-                Pdp::with_adi(p, b"k".to_vec(), PersistentAdi::open(path).unwrap())
+                let (svc, _) =
+                    DecisionService::open_persistent(p, b"k".to_vec(), data_dir, 1).unwrap();
+                svc
             },
-            |mut pdp| {
+            |svc| {
                 for req in &requests {
-                    pdp.decide(req);
+                    svc.decide(req);
                 }
-                pdp.adi_backend_mut().sync().unwrap();
-                pdp
+                svc.sync_adi().unwrap();
+                svc
             },
             criterion::BatchSize::LargeInput,
         )

@@ -218,15 +218,25 @@ impl ContextInstance {
 
     /// Build from pairs. Rejects duplicate types and wildcard values.
     pub fn from_pairs(pairs: Vec<(String, String)>) -> Result<Self, ContextError> {
+        ContextInstance::check_pairs(&pairs)?;
+        Ok(ContextInstance { pairs })
+    }
+
+    /// The rule [`ContextInstance::from_pairs`] enforces, over borrowed
+    /// pairs: no duplicate types, no wildcard values. For layers that
+    /// hold an instance in another representation (interned symbols)
+    /// and must accept exactly the instances this type accepts.
+    pub fn check_pairs<S: AsRef<str>>(pairs: &[(S, S)]) -> Result<(), ContextError> {
         for (i, (t, v)) in pairs.iter().enumerate() {
+            let (t, v) = (t.as_ref(), v.as_ref());
             if v == "*" || v == "!" {
                 return Err(ContextError::WildcardInInstance(format!("{t}={v}")));
             }
-            if pairs[..i].iter().any(|(pt, _)| pt == t) {
-                return Err(ContextError::DuplicateType(t.clone()));
+            if pairs[..i].iter().any(|(pt, _)| pt.as_ref() == t) {
+                return Err(ContextError::DuplicateType(t.to_owned()));
             }
         }
-        Ok(ContextInstance { pairs })
+        Ok(())
     }
 
     /// Number of components (depth below the universal root).

@@ -9,13 +9,19 @@
 //!    [`MemoryAdi`];
 //! 3. `indexed` — [`DecisionService`] over sharded [`IndexedAdi`];
 //! 4. `persistent` — [`DecisionService`] over journaled
-//!    [`storage::PersistentAdi`] shards on a [`FaultVfs`] RAM disk;
+//!    [`storage::PersistentAdi`] shards on a [`FaultVfs`] RAM disk, all
+//!    opened against one symbol table exactly as
+//!    [`DecisionService::open_persistent`] does, so decides run the
+//!    compiled symbol engine and commit through the journal-first
+//!    `commit_sym` path (asserted at construction — a fallback to the
+//!    string engine would sweep the wrong code);
 //! 5. `crash` — like `persistent`, but powers off mid-sequence
 //!    ([`FaultVfs::power_cut`]) after a sync and reopens through the
-//!    recovery path before continuing; on alternating power cuts the
-//!    surviving journals are first rewritten with string-era (v1)
-//!    frames, so every sweep also covers crash-reopen of a journal
-//!    written before the symbol-frame format existed;
+//!    recovery path (fresh shared table, journal replay interning into
+//!    it) before continuing; on alternating power cuts the surviving
+//!    journals are first rewritten with string-era (v1) frames, so
+//!    every sweep also covers crash-reopen of a journal written before
+//!    the symbol-frame format existed into the symbol index;
 //! 6. `symbolized` — [`DecisionService`] over sharded [`SymAdi`],
 //!    the interned fast path ([`permis::DecisionService::new_symbolized`]);
 //! 7. `wire` — a symbolized service behind a real loopback
@@ -39,6 +45,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use context::ContextName;
+use msod::symtab::SymbolTable;
 use msod::{AdiRecord, IndexedAdi, MemoryAdi, RetainedAdi, SymAdi};
 use net::{NetClient, NetConfig, NetServer, WireVerdict};
 use permis::{DecisionOutcome, DecisionRequest, DecisionService, DenyReason, Pdp};
@@ -165,25 +172,33 @@ fn shard_path(i: usize) -> std::path::PathBuf {
     Path::new("/adi").join(format!("adi-shard-{i}.log"))
 }
 
+/// Open every shard journal against one fresh symbol table — the
+/// RAM-disk form of [`DecisionService::open_persistent`].
 fn open_persistent_shards(vfs: &FaultVfs, shards: usize) -> Vec<PersistentAdi> {
+    let table = Arc::new(SymbolTable::new());
     (0..shards)
         .map(|i| {
             let vfs: Arc<dyn Vfs> = Arc::new(vfs.clone());
-            PersistentAdi::open_with_vfs(vfs, &shard_path(i)).expect("RAM-disk journal must open")
+            PersistentAdi::open_with_table(vfs, &shard_path(i), Arc::clone(&table))
+                .expect("RAM-disk journal must open")
         })
         .collect()
 }
 
 fn persistent_service(
     policy: &PdpPolicy,
-    vfs: &FaultVfs,
-    shards: usize,
+    stores: Vec<PersistentAdi>,
 ) -> DecisionService<PersistentAdi> {
-    DecisionService::from_shards(
+    let svc = DecisionService::from_shards(
         policy.clone(),
         TRAIL_KEY.to_vec(),
-        msod::ShardedAdi::from_shards(open_persistent_shards(vfs, shards)),
-    )
+        msod::ShardedAdi::from_shards(stores),
+    );
+    assert!(
+        svc.core().sym_engine().is_some(),
+        "shared-table durable shards must be served by the symbol engine"
+    );
+    svc
 }
 
 /// Rewrite every shard journal with string-era (v1) `AdiOp::Add`
@@ -251,8 +266,8 @@ impl Variant {
     /// Decide, projected onto the comparable [`Verdict`], with the
     /// derivation captured where the variant supports it: the string
     /// service (read-plane explanation under the epoch lock) and the
-    /// symbolized service (the `SymExplain` capture path) — the two
-    /// production explanation sources. The wire variant's verdict
+    /// symbolized services, in memory and journaled (the `SymExplain`
+    /// capture path) — the production explanation sources. The wire variant's verdict
     /// arrives already projected (responses carry the semantic core,
     /// not the full outcome); it returns no explanation, so only the
     /// verdict and state checks apply to it. Other variants decide
@@ -267,6 +282,13 @@ impl Variant {
                 (project(&outcome), ex.msod)
             }
             Variant::Symbolized(svc) => {
+                let (outcome, ex) = svc.decide_explained(req);
+                (project(&outcome), ex.msod)
+            }
+            // The journaled symbol plane, explained: the capture path
+            // commits through the same journal-first hook. (`crash`
+            // stays on the plain path so both are swept.)
+            Variant::Persistent { svc, .. } => {
                 let (outcome, ex) = svc.decide_explained(req);
                 (project(&outcome), ex.msod)
             }
@@ -374,11 +396,7 @@ impl Variant {
                 stores.iter().all(|s| s.recovery().is_clean()),
                 "synced journals must recover cleanly after a power cut"
             );
-            *svc = Some(DecisionService::from_shards(
-                policy.clone(),
-                TRAIL_KEY.to_vec(),
-                msod::ShardedAdi::from_shards(stores),
-            ));
+            *svc = Some(persistent_service(policy, stores));
         }
     }
 }
@@ -476,11 +494,11 @@ pub fn run_workload_with(w: &Workload, mutation: Mutation) -> Option<Divergence>
             w.shards,
         )),
         Variant::Persistent {
-            svc: persistent_service(&policy, &persist_vfs, w.shards),
+            svc: persistent_service(&policy, open_persistent_shards(&persist_vfs, w.shards)),
             _vfs: persist_vfs,
         },
         Variant::Crash {
-            svc: Some(persistent_service(&policy, &crash_vfs, w.shards)),
+            svc: Some(persistent_service(&policy, open_persistent_shards(&crash_vfs, w.shards))),
             vfs: crash_vfs,
             shards: w.shards,
         },

@@ -23,6 +23,7 @@
 use context::{BoundContext, ContextInstance};
 
 use crate::privilege::RoleRef;
+use crate::sym::{SymAdi, SymRecord};
 
 /// One retained decision: the 6-tuple of §4.2.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,6 +96,27 @@ pub trait RetainedAdi {
     /// backends have nothing to report; the default is a no-op.
     fn export_metrics(&self, writer: &mut obs::PromWriter, labels: &[(&str, &str)]) {
         let _ = (writer, labels);
+    }
+
+    /// Symbol-plane seam, read half: the symbolized index this backend
+    /// serves queries from, if it keeps one. [`SymAdi`] returns itself
+    /// and a durable store returns the index under its journal, so
+    /// [`SymEngine`](crate::SymEngine) runs over either with static
+    /// dispatch; string-indexed backends keep the default `None` and
+    /// are served by the string engine.
+    fn sym_index(&self) -> Option<&SymAdi> {
+        None
+    }
+
+    /// Symbol-plane seam, write half: retain one already-interned
+    /// record — [`SymAdi::add_sym`] plus whatever the backend owes
+    /// durability first (a journaled store queues the frame, *then*
+    /// updates the index). Called only on backends whose
+    /// [`sym_index`](RetainedAdi::sym_index) is `Some`, which must
+    /// override it.
+    fn commit_sym(&mut self, record: SymRecord) {
+        let _ = record;
+        unreachable!("commit_sym on a backend without a symbol index");
     }
 }
 

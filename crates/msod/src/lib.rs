@@ -85,9 +85,13 @@ pub use policy::{MsodPolicy, MsodPolicySet};
 pub use privilege::{Privilege, RoleRef};
 pub use sharded::{AdiMetrics, ShardMetrics, ShardedAdi, DEFAULT_SHARDS, EPOCH_STALL_NS};
 pub use sym::{
-    intern_request, sharded_sym_adi, MatchedBuf, ReqBufs, SymAdi, SymEngine, SymExplain,
-    SymOutcome, SymPathStats, SymRequest,
+    intern_request, sharded_sym_adi, CtxPair, MatchedBuf, ReqBufs, SymAdi, SymEngine, SymExplain,
+    SymOutcome, SymPathStats, SymRecord, SymRequest, SymTables,
 };
+/// The interner the symbol plane is built on, re-exported so layers
+/// that already depend on `msod` (the journaled store) can share a
+/// [`symtab::SymbolTable`] without a dependency edge of their own.
+pub use symtab;
 
 #[cfg(test)]
 mod adi_equivalence {

@@ -6,7 +6,10 @@
 //! into flat `(symbol, multiplicity)` matchers at load time; and the
 //! retained ADI stores symbols in a context trie keyed by packed `u64`
 //! pairs. The warm path — [`SymEngine::enforce_sharded`] over a
-//! [`ShardedAdi`]`<`[`SymAdi`]`>` — compares and hashes plain integers
+//! [`ShardedAdi`] whose shards expose a [`SymAdi`] through the
+//! [`RetainedAdi::sym_index`] / [`RetainedAdi::commit_sym`] seam
+//! ([`SymAdi`] itself in memory, the journaled store in a durable
+//! deployment) — compares and hashes plain integers
 //! and performs **zero heap allocations** for every decision that does
 //! not retain a new record (denies, not-applicable, and grants outside
 //! any constraint). Committing a record allocates exactly the record's
@@ -17,7 +20,7 @@
 //! fork: requests the fast path cannot express return
 //! [`SymOutcome::Fallback`] and the caller re-runs the request through
 //! [`MsodEngine::enforce_sharded_matched`], which operates on the very
-//! same [`SymAdi`] shards through the [`RetainedAdi`] trait. That keeps
+//! same shards through the [`RetainedAdi`] trait. That keeps
 //! one source of truth for the §4.2 semantics (the string engine,
 //! conformance-checked by the modelcheck oracle) while the symbolized
 //! path carries the steady-state load. Fallbacks are exact, not
@@ -161,8 +164,8 @@ fn dedup_sorted<T: Copy + Ord>(mut ids: Vec<T>) -> Vec<(T, u32)> {
 }
 
 /// The compiled, symbolized MSoD engine: flat matchers over the policy
-/// set, evaluated against a [`ShardedAdi`]`<`[`SymAdi`]`>` without
-/// allocating.
+/// set, evaluated against the [`SymAdi`] indexes of a [`ShardedAdi`]
+/// without allocating.
 #[derive(Debug, Clone)]
 pub struct SymEngine {
     policies: Vec<SymPolicy>,
@@ -855,6 +858,7 @@ impl SymAdi {
 
     /// Whether any record (any user) lies within the bound pattern.
     /// Allocation-free.
+    #[inline]
     fn context_active_pattern(&self, pattern: &[BoundComp]) -> bool {
         self.root.any_match(pattern)
     }
@@ -922,7 +926,15 @@ impl SymAdi {
         }
     }
 
-    fn intern_record(&self, rec: &AdiRecord) -> SymRecord {
+    /// The store's live records, in slab (insertion) order — what a
+    /// journaled backend's compaction rewrites from, without resolving
+    /// a single symbol back to a string.
+    pub fn sym_records(&self) -> impl Iterator<Item = &SymRecord> {
+        self.records.iter().flatten()
+    }
+
+    /// Intern a string record through this store's table.
+    pub fn intern_record(&self, rec: &AdiRecord) -> SymRecord {
         let t = &self.table;
         SymRecord {
             user: t.intern_user(&rec.user),
@@ -1020,10 +1032,19 @@ impl RetainedAdi for SymAdi {
     }
 
     fn snapshot(&self) -> Vec<AdiRecord> {
-        let mut out: Vec<AdiRecord> =
-            self.records.iter().flatten().map(|r| self.resolve_record(r)).collect();
+        let mut out: Vec<AdiRecord> = self.sym_records().map(|r| self.resolve_record(r)).collect();
         sort_records(&mut out);
         out
+    }
+
+    #[inline]
+    fn sym_index(&self) -> Option<&SymAdi> {
+        Some(self)
+    }
+
+    #[inline]
+    fn commit_sym(&mut self, record: SymRecord) {
+        self.add_sym(record);
     }
 }
 
@@ -1033,12 +1054,54 @@ pub fn sharded_sym_adi(table: &Arc<SymbolTable>, shards: usize) -> ShardedAdi<Sy
     ShardedAdi::from_shards((0..shards.max(1)).map(|_| SymAdi::new(Arc::clone(table))).collect())
 }
 
-impl ShardedAdi<SymAdi> {
+/// What the shards of a [`ShardedAdi`] offer the symbol plane — the
+/// answer to "may a compiled [`SymEngine`] run over this store, and
+/// against which table?" (see [`ShardedAdi::sym_tables`]).
+#[derive(Debug, Clone)]
+pub enum SymTables {
+    /// Some shard keeps no symbol index: a string-engine backend.
+    Absent,
+    /// Every shard keeps a symbol index and they all intern through
+    /// this one table, so an engine compiled against it is valid for
+    /// the whole store.
+    Shared(Arc<SymbolTable>),
+    /// Every shard keeps a symbol index, but not all over the same
+    /// table (`Arc::ptr_eq`) — e.g. durable shards each opened
+    /// standalone. A symbol means different things in different shards,
+    /// so no engine may run over them.
+    Mixed,
+}
+
+impl<A: RetainedAdi> ShardedAdi<A> {
+    /// Inspect every shard's [`RetainedAdi::sym_index`] (through the
+    /// unmetered locks) and report what they share.
+    pub fn sym_tables(&self) -> SymTables {
+        let mut first: Option<Arc<SymbolTable>> = None;
+        let mut mixed = false;
+        for shard in &self.shards {
+            let shard = shard.lock();
+            let Some(index) = shard.sym_index() else {
+                return SymTables::Absent;
+            };
+            match &first {
+                None => first = Some(Arc::clone(index.table())),
+                Some(table) => mixed |= !Arc::ptr_eq(table, index.table()),
+            }
+        }
+        match first {
+            Some(table) if !mixed => SymTables::Shared(table),
+            Some(_) => SymTables::Mixed,
+            None => SymTables::Absent,
+        }
+    }
+
     /// Cross-shard "context already started?" probe over a symbol
     /// pattern — the unsynced sweep of the string path, re-keyed.
     fn context_active_unsynced_sym(&self, pattern: &[BoundComp]) -> bool {
         self.metrics.probe_sweeps.inc();
-        self.shards.iter().any(|s| s.lock().context_active_pattern(pattern))
+        self.shards
+            .iter()
+            .any(|s| s.lock().sym_index().is_some_and(|i| i.context_active_pattern(pattern)))
     }
 }
 
@@ -1049,12 +1112,15 @@ impl SymEngine {
     /// shard lock, commit at most one record. Returns
     /// [`SymOutcome::Fallback`] instead of deciding whenever a matched
     /// policy's last step fires (step 7 needs the exclusive view) or
-    /// more than [`MAX_MATCHED`] policies match.
+    /// more than [`MAX_MATCHED`] policies match — or when the shards keep
+    /// no symbol index at all ([`RetainedAdi::sym_index`] is `None`).
+    /// The shards' indexes must intern through the table this engine
+    /// was compiled against.
     ///
     /// Zero-allocation except for committing a new record.
-    pub fn enforce_sharded(
+    pub fn enforce_sharded<A: RetainedAdi>(
         &self,
-        adi: &ShardedAdi<SymAdi>,
+        adi: &ShardedAdi<A>,
         req: &SymRequest<'_>,
         matched: &mut MatchedBuf,
     ) -> SymOutcome {
@@ -1067,9 +1133,9 @@ impl SymEngine {
     /// record timestamps, and every consulted record — all as raw
     /// symbols ([`SymExplain::resolve`] renders them). Capture
     /// allocates; keep it off the uninstrumented hot path.
-    pub fn enforce_sharded_explained(
+    pub fn enforce_sharded_explained<A: RetainedAdi>(
         &self,
-        adi: &ShardedAdi<SymAdi>,
+        adi: &ShardedAdi<A>,
         req: &SymRequest<'_>,
         matched: &mut MatchedBuf,
         explain: &mut SymExplain,
@@ -1078,71 +1144,122 @@ impl SymEngine {
         self.enforce_sharded_inner(adi, req, matched, Some(explain))
     }
 
-    fn enforce_sharded_inner(
+    fn enforce_sharded_inner<A: RetainedAdi>(
         &self,
-        adi: &ShardedAdi<SymAdi>,
+        adi: &ShardedAdi<A>,
         req: &SymRequest<'_>,
         matched: &mut MatchedBuf,
-        mut explain: Option<&mut SymExplain>,
+        explain: Option<&mut SymExplain>,
     ) -> SymOutcome {
-        matched.clear();
-        for (pi, p) in self.policies.iter().enumerate() {
-            if p.matches_instance(req.ctx) && !matched.push(pi) {
-                return SymOutcome::Fallback;
-            }
-        }
-        if matched.as_slice().is_empty() {
-            return SymOutcome::NotApplicable;
-        }
-        if matched
-            .as_slice()
-            .iter()
-            .any(|&pi| self.policies[usize::from(pi)].last_step == Some(req.priv_id))
-        {
-            return SymOutcome::Fallback;
+        // Only what must touch a shard is generic over the shard type —
+        // the probe sweep, the user's shard lock, the commit hook. The
+        // algorithm itself (`admit`, `bind`, `evaluate`) is compiled
+        // once, whatever store it runs over.
+        if let Some(outcome) = self.admit(req, matched) {
+            return outcome;
         }
 
         // Hold the epoch for the whole decision so no purge can
         // interleave between the scan and the commit.
         let _epoch = adi.epoch_read();
 
-        // Bind each matched policy ('!' pinned to the request's pair at
-        // that depth) and pre-compute the step 3 cross-shard facts.
-        let dummy = BoundComp::Any(Sym::from_u32(0));
-        let mut bounds = [[dummy; MAX_CTX_DEPTH]; MAX_MATCHED];
-        let mut depths = [0usize; MAX_MATCHED];
-        let mut started_elsewhere = [false; MAX_MATCHED];
+        // Pre-compute the step 3 cross-shard facts, one shard lock at a
+        // time. Policies routinely share one business context (e.g.
+        // every constraint scoped `Proc=!`); reuse an identical earlier
+        // pattern's probe instead of re-walking every shard trie.
+        let mut bound = self.bind(req, matched);
+        for k in 0..matched.as_slice().len() {
+            bound.started_elsewhere[k] =
+                match (0..k).find(|&j| bound.pattern(j) == bound.pattern(k)) {
+                    Some(j) => bound.started_elsewhere[j],
+                    None => adi.context_active_unsynced_sym(bound.pattern(k)),
+                };
+        }
+
+        let mut shard = adi.lock_shard(adi.shard_index(req.user_str));
+        let Some(index) = shard.sym_index() else {
+            return SymOutcome::Fallback;
+        };
+        match self.evaluate(index, req, matched, &bound, explain) {
+            Err(deny) => SymOutcome::Deny(deny),
+            Ok(Evaluated { want_record, consulted }) => {
+                // Commit phase — still under the user's shard lock.
+                if want_record {
+                    shard.commit_sym(SymRecord {
+                        user: req.user,
+                        roles: req.roles.to_vec(),
+                        priv_id: req.priv_id,
+                        ctx: req.ctx.to_vec(),
+                        timestamp: req.timestamp,
+                    });
+                }
+                SymOutcome::Grant {
+                    records_added: usize::from(want_record),
+                    records_consulted: consulted,
+                }
+            }
+        }
+    }
+
+    /// §4.2 step 1 on symbols: fill `matched`, and decide right away
+    /// what needs no store — nothing matched, or the request is one the
+    /// fast path declines (too many matches, a matched last step).
+    fn admit(&self, req: &SymRequest<'_>, matched: &mut MatchedBuf) -> Option<SymOutcome> {
+        matched.clear();
+        for (pi, p) in self.policies.iter().enumerate() {
+            if p.matches_instance(req.ctx) && !matched.push(pi) {
+                return Some(SymOutcome::Fallback);
+            }
+        }
+        if matched.as_slice().is_empty() {
+            return Some(SymOutcome::NotApplicable);
+        }
+        let last_step = |&pi: &u16| self.policies[usize::from(pi)].last_step == Some(req.priv_id);
+        matched.as_slice().iter().any(last_step).then_some(SymOutcome::Fallback)
+    }
+
+    /// Bind each matched policy's context to the request: '!' pinned to
+    /// the request's pair at that depth.
+    fn bind(&self, req: &SymRequest<'_>, matched: &MatchedBuf) -> BoundPolicies {
+        let mut bound = BoundPolicies {
+            patterns: [[BoundComp::Any(Sym::from_u32(0)); MAX_CTX_DEPTH]; MAX_MATCHED],
+            depths: [0; MAX_MATCHED],
+            started_elsewhere: [false; MAX_MATCHED],
+        };
         for (k, &pi) in matched.as_slice().iter().enumerate() {
             let p = &self.policies[usize::from(pi)];
             for (i, c) in p.components.iter().enumerate() {
-                bounds[k][i] = match c.pattern {
+                bound.patterns[k][i] = match c.pattern {
                     SymPattern::Any => BoundComp::Any(c.ty),
                     SymPattern::Exact(id) => BoundComp::Exact(CtxPair { ty: c.ty, id }),
                     SymPattern::PerInstance => BoundComp::Exact(req.ctx[i]),
                 };
             }
-            depths[k] = p.components.len();
-            // Policies routinely share one business context (e.g. every
-            // constraint scoped `Proc=!`); reuse an identical earlier
-            // pattern's cross-shard probe instead of re-walking every
-            // shard trie.
-            started_elsewhere[k] =
-                match (0..k).find(|&j| bounds[j][..depths[j]] == bounds[k][..depths[k]]) {
-                    Some(j) => started_elsewhere[j],
-                    None => adi.context_active_unsynced_sym(&bounds[k][..depths[k]]),
-                };
+            bound.depths[k] = p.components.len();
         }
+        bound
+    }
 
-        let mut shard = adi.lock_shard(adi.shard_index(req.user_str));
+    /// §4.2 steps 3–6 for every matched policy against the requesting
+    /// user's shard index (held under its lock by the caller): `Err` is
+    /// the deny, `Ok` says whether the grant must retain a record.
+    fn evaluate(
+        &self,
+        index: &SymAdi,
+        req: &SymRequest<'_>,
+        matched: &MatchedBuf,
+        bound: &BoundPolicies,
+        mut explain: Option<&mut SymExplain>,
+    ) -> Result<Evaluated, SymDeny> {
         let mut want_record = false;
         let mut consulted = 0usize;
         for (k, &pi) in matched.as_slice().iter().enumerate() {
             let pi = usize::from(pi);
             let policy = &self.policies[pi];
-            let pattern = &bounds[k][..depths[k]];
+            let pattern = bound.pattern(k);
             // Re-check against the user's own shard under its lock, as
             // the string path does.
-            let started = started_elsewhere[k] || shard.context_active_pattern(pattern);
+            let started = bound.started_elsewhere[k] || index.context_active_pattern(pattern);
             let starts_now =
                 !started && (policy.first_step.is_none() || policy.first_step == Some(req.priv_id));
             if let Some(ex) = explain.as_deref_mut() {
@@ -1162,73 +1279,40 @@ impl SymEngine {
             }
 
             let mut policy_wants = false;
-            if !started {
-                if starts_now {
-                    if self.strict_first_step {
-                        match eval_constraints(
-                            policy,
-                            pi,
-                            req,
-                            &shard,
-                            pattern,
-                            &mut consulted,
-                            explain.as_deref_mut(),
-                        ) {
-                            Eval::Deny(deny) => return SymOutcome::Deny(deny),
-                            Eval::Pass { .. } => {}
-                        }
-                    }
-                    want_record = true;
-                    policy_wants = true;
-                }
-            } else {
-                match eval_constraints(
+            if started || (starts_now && self.strict_first_step) {
+                let touched = eval_constraints(
                     policy,
                     pi,
                     req,
-                    &shard,
+                    index,
                     pattern,
                     &mut consulted,
                     explain.as_deref_mut(),
-                ) {
-                    Eval::Deny(deny) => return SymOutcome::Deny(deny),
-                    Eval::Pass { touched } => {
-                        if touched {
-                            want_record = true;
-                            policy_wants = true;
-                        }
-                    }
-                }
+                )?;
+                policy_wants = touched && started;
             }
+            // Step 4: recording starts at the policy's first step, or
+            // immediately when no first step is declared.
+            policy_wants |= starts_now;
+            want_record |= policy_wants;
             if let Some(ex) = explain.as_deref_mut() {
                 ex.policies.last_mut().expect("pushed above").wants_record = policy_wants;
             }
         }
-
-        let records_added = usize::from(want_record);
-        if want_record {
-            shard.add_sym(SymRecord {
-                user: req.user,
-                roles: req.roles.to_vec(),
-                priv_id: req.priv_id,
-                ctx: req.ctx.to_vec(),
-                timestamp: req.timestamp,
-            });
-        }
-        SymOutcome::Grant { records_added, records_consulted: consulted }
+        Ok(Evaluated { want_record, consulted })
     }
 
     /// Run the fast path and fall back to the string engine for
     /// anything it declines, producing the same [`MsodDecision`] the
     /// string engine would. This is the one entry point the PDP calls:
-    /// the two engines share `adi` (the string path goes through
-    /// [`SymAdi`]'s [`RetainedAdi`] impl), so fast-path and fallback
+    /// the two engines share `adi` (the string path goes through the
+    /// shards' [`RetainedAdi`] impl), so fast-path and fallback
     /// decisions observe and mutate one store.
-    pub fn enforce_or_fallback(
+    pub fn enforce_or_fallback<A: RetainedAdi>(
         &self,
         string_engine: &MsodEngine,
         table: &SymbolTable,
-        adi: &ShardedAdi<SymAdi>,
+        adi: &ShardedAdi<A>,
         req: &MsodRequest<'_>,
         bufs: &mut ReqBufs,
         matched: &mut MatchedBuf,
@@ -1248,11 +1332,11 @@ impl SymEngine {
     /// into `stats` whether (and why) the request left the fast path,
     /// so the service layer can meter fallbacks without a second pass.
     #[allow(clippy::too_many_arguments)]
-    pub fn enforce_or_fallback_metered(
+    pub fn enforce_or_fallback_metered<A: RetainedAdi>(
         &self,
         string_engine: &MsodEngine,
         table: &SymbolTable,
-        adi: &ShardedAdi<SymAdi>,
+        adi: &ShardedAdi<A>,
         req: &MsodRequest<'_>,
         bufs: &mut ReqBufs,
         matched: &mut MatchedBuf,
@@ -1313,11 +1397,11 @@ impl SymEngine {
     /// the same exclusive view the string enforce runs against, so
     /// the explanation always describes the exact pre-decision state.
     #[allow(clippy::too_many_arguments)]
-    pub fn enforce_or_fallback_explained(
+    pub fn enforce_or_fallback_explained<A: RetainedAdi>(
         &self,
         string_engine: &MsodEngine,
         table: &SymbolTable,
-        adi: &ShardedAdi<SymAdi>,
+        adi: &ShardedAdi<A>,
         req: &MsodRequest<'_>,
         bufs: &mut ReqBufs,
         matched: &mut MatchedBuf,
@@ -1380,9 +1464,25 @@ impl SymEngine {
     }
 }
 
-enum Eval {
-    Deny(SymDeny),
-    Pass { touched: bool },
+/// The matched policies' bound context patterns (row `k` belongs to
+/// `matched[k]`) and, per pattern, whether step 3 found the context
+/// already started in some shard.
+struct BoundPolicies {
+    patterns: [[BoundComp; MAX_CTX_DEPTH]; MAX_MATCHED],
+    depths: [usize; MAX_MATCHED],
+    started_elsewhere: [bool; MAX_MATCHED],
+}
+
+impl BoundPolicies {
+    fn pattern(&self, k: usize) -> &[BoundComp] {
+        &self.patterns[k][..self.depths[k]]
+    }
+}
+
+/// What a grant owes the store.
+struct Evaluated {
+    want_record: bool,
+    consulted: usize,
 }
 
 /// Explain-mode scratch for one `eval_constraints` call: which records
@@ -1397,8 +1497,16 @@ struct CapScratch {
 /// Steps 5 and 6 for one policy, on symbols: one pass over the user's
 /// history in the bound pattern accumulates per-entry tallies into
 /// fixed scratch, then each constraint applies the multiset arithmetic
-/// `nr + Σ min(listed − consumed, seen) >= m`. Allocation-free when
-/// `explain` is `None`.
+/// `nr + Σ min(listed − consumed, seen) >= m`. `Err` is the violated
+/// constraint; `Ok` says whether the request touched any constraint of
+/// the policy. Allocation-free when `explain` is `None`.
+///
+/// Kept out of line on purpose: this is the per-record hot loop, and
+/// folded into [`SymEngine::evaluate`] (its one caller, which LLVM would
+/// otherwise always inline) the loop came out 2–4% slower on the
+/// 500-records-per-user deny workload, consistently across ten
+/// parent/change pairs.
+#[inline(never)]
 fn eval_constraints(
     policy: &SymPolicy,
     policy_index: usize,
@@ -1407,7 +1515,7 @@ fn eval_constraints(
     pattern: &[BoundComp],
     consulted: &mut usize,
     mut explain: Option<&mut SymExplain>,
-) -> Eval {
+) -> Result<bool, SymDeny> {
     let mut seen = [0u32; MAX_POLICY_TALLY];
     let mut cap: Option<CapScratch> = explain.as_deref_mut().map(|_| CapScratch {
         contributing: vec![Vec::new(); policy.mmer.len() + policy.mmep.len()],
@@ -1496,7 +1604,7 @@ fn eval_constraints(
             });
         }
         if denied {
-            return Eval::Deny(SymDeny {
+            return Err(SymDeny {
                 policy_index,
                 kind: ConstraintKind::Mmer,
                 constraint_index: ci,
@@ -1546,7 +1654,7 @@ fn eval_constraints(
             });
         }
         if denied {
-            return Eval::Deny(SymDeny {
+            return Err(SymDeny {
                 policy_index,
                 kind: ConstraintKind::Mmep,
                 constraint_index: ci,
@@ -1557,7 +1665,7 @@ fn eval_constraints(
             });
         }
     }
-    Eval::Pass { touched }
+    Ok(touched)
 }
 
 #[cfg(test)]

@@ -20,6 +20,21 @@
 //!   operations (last-step terminations, management purges, recovery).
 //!   The audit trail sits behind its own mutex so its HMAC chain stays
 //!   strictly ordered.
+//!
+//! One pipeline serves every deployment. When the ADI shards keep a
+//! symbolized index over one shared `SymbolTable` — the in-memory
+//! [`DecisionService::new_symbolized`] *and* the journaled
+//! [`DecisionService::open_persistent`] — requests are interned once at
+//! the boundary and the compiled [`SymEngine`] decides on symbols,
+//! reading each shard's index and committing through the
+//! [`RetainedAdi::sym_index`] / [`RetainedAdi::commit_sym`] seam (for a
+//! durable shard: journal frame first, index second). Durability is a
+//! layer under that pipeline, not a second one. The string engine
+//! serves what the fast path declines (last steps, oversize requests)
+//! and stores that offer no shared table — string-indexed backends, or
+//! symbolized shards that were not opened against one table, which the
+//! service detects at assembly and reports
+//! ([`DecisionService::sym_table_mismatch`]).
 
 use std::sync::Arc;
 
@@ -28,7 +43,7 @@ use credential::{AttributeCredential, CredentialValidationService, Directory};
 use msod::{
     sharded_sym_adi, AdiRecord, ConstraintKind, EngineOptions, IndexedAdi, MatchedBuf,
     MsodDecision, MsodEngine, MsodExplanation, MsodRequest, ReqBufs, RetainedAdi, RoleRef,
-    ShardedAdi, SymAdi, SymEngine, SymExplain, SymPathStats,
+    ShardedAdi, SymAdi, SymEngine, SymExplain, SymPathStats, SymTables,
 };
 use obs::{PromWriter, Stopwatch};
 use parking_lot::{Mutex, RwLock};
@@ -140,11 +155,17 @@ pub struct DecisionService<A: RetainedAdi = IndexedAdi> {
     adi: ShardedAdi<A>,
     audit: Mutex<AuditPlane>,
     trail_key: Vec<u8>,
-    /// Present on symbolized services: the append-only table shared by
-    /// the ADI shards and every compiled [`SymEngine`]. Policy swaps
-    /// recompile against the same table, so symbols stay stable for
-    /// the life of the service.
+    /// Present when every ADI shard keeps a symbol index over one
+    /// table ([`ShardedAdi::sym_tables`], checked once at assembly):
+    /// the append-only table shared by the shards and every compiled
+    /// [`SymEngine`]. Policy swaps recompile against the same table, so
+    /// symbols stay stable for the life of the service. `None` means
+    /// the string engine serves every decide.
     sym_table: Option<Arc<SymbolTable>>,
+    /// The shards keep symbol indexes but over *different* tables, so
+    /// `sym_table` is `None` although the backend is symbolized — a
+    /// deployment mistake worth surfacing, not a backend choice.
+    sym_table_mismatch: bool,
     /// `false` = primary (the default), `true` = replica. An atomic,
     /// not a lock: role flips (lease grant/expiry) race benignly with
     /// in-flight decides exactly as they would across the network.
@@ -158,9 +179,12 @@ pub struct DecisionService<A: RetainedAdi = IndexedAdi> {
 
 impl<A: RetainedAdi> std::fmt::Debug for DecisionService<A> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let core = self.core.read();
         f.debug_struct("DecisionService")
-            .field("policy", &self.core.read().policy.id)
+            .field("policy", &core.policy.id)
             .field("adi_shards", &self.adi.shard_count())
+            .field("engine", &if core.sym.is_some() { "sym" } else { "string" })
+            .field("sym_table_mismatch", &self.sym_table_mismatch)
             .field("audit_records", &self.audit.lock().trail.len())
             .finish()
     }
@@ -196,8 +220,7 @@ impl DecisionService<SymAdi> {
         shards: usize,
     ) -> Self {
         let table = Arc::new(SymbolTable::new());
-        let adi = sharded_sym_adi(&table, shards);
-        DecisionService::assemble(policy, trail_key.into(), adi, Some(table))
+        DecisionService::from_shards(policy, trail_key, sharded_sym_adi(&table, shards))
     }
 
     /// Parse an `<RBACPolicy>` document and build a symbolized service.
@@ -231,6 +254,11 @@ impl DecisionService<storage::PersistentAdi> {
     /// absent). `shards` is clamped to at least 1 and must stay stable
     /// across restarts — records are sharded by user.
     ///
+    /// Every shard is opened against one fresh symbol table (journal
+    /// replay interns straight into it), so the service runs the same
+    /// compiled [`SymEngine`] as [`DecisionService::new_symbolized`];
+    /// a grant's record is journaled before it enters the index.
+    ///
     /// Crash recovery is surfaced, never silent: the per-shard
     /// [`storage::RecoveryReport`]s are returned for the caller to
     /// inspect, and every non-clean recovery (truncated bytes, dropped
@@ -244,10 +272,16 @@ impl DecisionService<storage::PersistentAdi> {
         shards: usize,
     ) -> Result<(Self, Vec<storage::RecoveryReport>), storage::StorageError> {
         let dir = dir.as_ref();
+        let table = Arc::new(SymbolTable::new());
+        let vfs: Arc<dyn storage::Vfs> = Arc::new(storage::StdVfs);
         let mut stores = Vec::with_capacity(shards.max(1));
         let mut reports = Vec::with_capacity(shards.max(1));
         for i in 0..shards.max(1) {
-            let adi = storage::PersistentAdi::open(dir.join(format!("adi-shard-{i}.log")))?;
+            let adi = storage::PersistentAdi::open_with_table(
+                Arc::clone(&vfs),
+                &dir.join(format!("adi-shard-{i}.log")),
+                Arc::clone(&table),
+            )?;
             reports.push(adi.recovery().clone());
             stores.push(adi);
         }
@@ -294,20 +328,24 @@ impl DecisionService<storage::PersistentAdi> {
 impl<A: RetainedAdi + 'static> DecisionService<A> {
     /// Service over a pre-built sharded store (e.g. one
     /// `storage::PersistentAdi` per shard).
+    ///
+    /// Which engine serves it is read off the shards
+    /// ([`ShardedAdi::sym_tables`]): symbol indexes over one shared
+    /// table get the compiled [`SymEngine`]; anything else — including
+    /// symbolized shards over *different* tables, against which no
+    /// engine could be compiled soundly — gets the string engine (see
+    /// [`DecisionService::sym_table_mismatch`]).
     pub fn from_shards(
         policy: PdpPolicy,
         trail_key: impl Into<Vec<u8>>,
         adi: ShardedAdi<A>,
     ) -> Self {
-        DecisionService::assemble(policy, trail_key.into(), adi, None)
-    }
-
-    fn assemble(
-        policy: PdpPolicy,
-        trail_key: Vec<u8>,
-        adi: ShardedAdi<A>,
-        sym_table: Option<Arc<SymbolTable>>,
-    ) -> Self {
+        let trail_key = trail_key.into();
+        let (sym_table, sym_table_mismatch) = match adi.sym_tables() {
+            SymTables::Shared(table) => (Some(table), false),
+            SymTables::Mixed => (None, true),
+            SymTables::Absent => (None, false),
+        };
         DecisionService {
             core: RwLock::new(Arc::new(DecisionCore::from_policy(policy, sym_table.as_deref()))),
             adi,
@@ -317,6 +355,7 @@ impl<A: RetainedAdi + 'static> DecisionService<A> {
             }),
             trail_key,
             sym_table,
+            sym_table_mismatch,
             is_replica: std::sync::atomic::AtomicBool::new(false),
             apply_epoch: std::sync::atomic::AtomicU64::new(0),
             metrics: DecideMetrics::default(),
@@ -332,6 +371,16 @@ impl<A: RetainedAdi + 'static> DecisionService<A> {
     /// The sharded retained-ADI write plane.
     pub fn adi(&self) -> &ShardedAdi<A> {
         &self.adi
+    }
+
+    /// Whether the ADI shards keep symbol indexes over *different*
+    /// tables (each opened standalone instead of against one shared
+    /// table). Such a service is correct but slow: it never runs a
+    /// [`SymEngine`] — a symbol would mean different things in
+    /// different shards — and decides on the string engine instead.
+    /// Also exported as the `permis_sym_table_mismatch` gauge.
+    pub fn sym_table_mismatch(&self) -> bool {
+        self.sym_table_mismatch
     }
 
     /// Replace the policy (PDP re-initialisation): rebuilds the CVS
@@ -405,6 +454,13 @@ impl<A: RetainedAdi + 'static> DecisionService<A> {
         if let Some(table) = self.sym_table.as_deref() {
             crate::metrics::export_symtab(&mut w, table);
         }
+        w.gauge(
+            "permis_sym_table_mismatch",
+            "1 when the ADI shards keep symbol indexes over different tables, \
+             which forces every decide onto the string engine.",
+            &[],
+            u64::from(self.sym_table_mismatch),
+        );
         w.finish()
     }
 
@@ -608,58 +664,57 @@ impl<A: RetainedAdi + 'static> DecisionService<A> {
                 };
 
                 // Phases 2–3: context match + §4.2 enforcement. On a
-                // symbolized service both run inside the symbol plane —
-                // the request is interned once and matching happens on
-                // dense symbols, so the phases fuse (context_match_ns
-                // is recorded only on the string path, where matching
-                // is a separate allocation-bearing step).
+                // symbolized service (in memory or journaled) both run
+                // inside the symbol plane — the request is interned
+                // once and matching happens on dense symbols, so the
+                // phases fuse (context_match_ns is recorded only on the
+                // string path, where matching is a separate
+                // allocation-bearing step). `core.sym` exists only
+                // when `sym_table` does: assembly verified that every
+                // shard's symbol index interns through that table.
                 let t_match;
                 let decision = 'msod: {
                     if let (Some(sym), Some(table)) = (core.sym.as_ref(), self.sym_table.as_deref())
                     {
-                        if let Some(sym_adi) =
-                            (&self.adi as &dyn std::any::Any).downcast_ref::<ShardedAdi<SymAdi>>()
-                        {
-                            t_match = t_front;
-                            let mut stats = SymPathStats::default();
-                            let decision = if let Some(slot) = explain.as_deref_mut() {
-                                let mut ex_scratch = SymExplain::new();
-                                let (decision, ex) = sym.enforce_or_fallback_explained(
-                                    &core.engine,
-                                    table,
-                                    sym_adi,
-                                    &msod_req,
-                                    &mut scratch.bufs,
-                                    &mut scratch.matched,
-                                    &mut ex_scratch,
-                                    &mut stats,
-                                );
-                                slot.msod = Some(ex);
-                                decision
-                            } else {
-                                sym.enforce_or_fallback_metered(
-                                    &core.engine,
-                                    table,
-                                    sym_adi,
-                                    &msod_req,
-                                    &mut scratch.bufs,
-                                    &mut scratch.matched,
-                                    &mut stats,
-                                )
-                            };
-                            fell_back = stats.fell_back;
-                            if stats.fell_back {
-                                self.metrics.sym_fallbacks.inc();
-                            }
-                            if stats.overflow {
-                                self.metrics.reqbuf_overflows.inc();
-                                self.fire_flight("sym_fallback_overflow");
-                            }
-                            if let Some(slot) = explain.as_deref_mut() {
-                                slot.engine = if stats.fell_back { "string" } else { "sym" };
-                            }
-                            break 'msod decision;
+                        t_match = t_front;
+                        let mut stats = SymPathStats::default();
+                        let decision = if let Some(slot) = explain.as_deref_mut() {
+                            let mut ex_scratch = SymExplain::new();
+                            let (decision, ex) = sym.enforce_or_fallback_explained(
+                                &core.engine,
+                                table,
+                                &self.adi,
+                                &msod_req,
+                                &mut scratch.bufs,
+                                &mut scratch.matched,
+                                &mut ex_scratch,
+                                &mut stats,
+                            );
+                            slot.msod = Some(ex);
+                            decision
+                        } else {
+                            sym.enforce_or_fallback_metered(
+                                &core.engine,
+                                table,
+                                &self.adi,
+                                &msod_req,
+                                &mut scratch.bufs,
+                                &mut scratch.matched,
+                                &mut stats,
+                            )
+                        };
+                        fell_back = stats.fell_back;
+                        if stats.fell_back {
+                            self.metrics.sym_fallbacks.inc();
                         }
+                        if stats.overflow {
+                            self.metrics.reqbuf_overflows.inc();
+                            self.fire_flight("sym_fallback_overflow");
+                        }
+                        if let Some(slot) = explain.as_deref_mut() {
+                            slot.engine = if stats.fell_back { "string" } else { "sym" };
+                        }
+                        break 'msod decision;
                     }
                     let matched = core.engine.policies().matching(&req.context);
                     t_match = if sample {
@@ -1229,6 +1284,86 @@ mod tests {
         let survivors = svc.adi().len();
         assert_eq!(survivors, 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The shared-table invariant, both shapes: durable shards opened
+    /// against one table get the compiled symbol engine; shards each
+    /// opened standalone (one private table apiece) must never see an
+    /// engine compiled against a foreign table — the service detects
+    /// the mismatch at assembly, decides on the string engine, says so,
+    /// and no later policy or option swap resurrects the fast path.
+    #[test]
+    fn sym_engine_requires_one_shared_table() {
+        use std::path::Path;
+        use storage::{FaultVfs, PersistentAdi, Vfs};
+
+        let policy = || policy::parse_rbac_policy(POLICY).unwrap();
+        let open = |vfs: &FaultVfs, i: usize, table: Option<&Arc<SymbolTable>>| {
+            let vfs: Arc<dyn Vfs> = Arc::new(vfs.clone());
+            let path = format!("/adi-shard-{i}.log");
+            match table {
+                Some(t) => PersistentAdi::open_with_table(vfs, Path::new(&path), Arc::clone(t)),
+                None => PersistentAdi::open_with_vfs(vfs, Path::new(&path)),
+            }
+            .unwrap()
+        };
+        let script = |svc: &DecisionService<PersistentAdi>| {
+            vec![
+                work(svc, "alice", "Member", "p1", 1),
+                work(svc, "alice", "Reviewer", "p1", 2),
+                work(svc, "bob", "Reviewer", "p1", 3),
+                work(svc, "bob", "Member", "p2", 4),
+                work(svc, "carol", "Member", "p1", 5),
+            ]
+        };
+
+        let vfs = FaultVfs::default();
+        let standalone = (0..4).map(|i| open(&vfs, i, None)).collect();
+        let mixed = DecisionService::from_shards(
+            policy(),
+            b"key".to_vec(),
+            ShardedAdi::from_shards(standalone),
+        );
+        assert!(mixed.sym_table_mismatch());
+        assert!(mixed.core().sym_engine().is_none());
+        let debug = format!("{mixed:?}");
+        assert!(debug.contains("engine: \"string\""), "{debug}");
+        assert!(debug.contains("sym_table_mismatch: true"), "{debug}");
+        mixed.set_policy(policy());
+        mixed.set_engine_options(EngineOptions::default());
+        assert!(mixed.core().sym_engine().is_none(), "swaps must not resurrect the fast path");
+
+        let vfs = FaultVfs::default();
+        let table = Arc::new(SymbolTable::new());
+        let shared = (0..4).map(|i| open(&vfs, i, Some(&table))).collect();
+        let shared = DecisionService::from_shards(
+            policy(),
+            b"key".to_vec(),
+            ShardedAdi::from_shards(shared),
+        );
+        assert!(!shared.sym_table_mismatch());
+        assert!(shared.core().sym_engine().is_some());
+        assert!(format!("{shared:?}").contains("engine: \"sym\""));
+
+        // Either way the verdicts are the same ones.
+        assert_eq!(script(&mixed), [true, false, true, true, true]);
+        assert_eq!(script(&shared), script(&single_store_service()));
+        assert_eq!(mixed.adi().snapshot(), shared.adi().snapshot());
+        if obs::enabled() {
+            assert!(mixed.metrics_text().contains("permis_sym_table_mismatch 1"));
+            assert!(shared.metrics_text().contains("permis_sym_table_mismatch 0"));
+            assert_eq!(mixed.metrics().sym_fallbacks.get(), 0, "no sym path, no fallbacks");
+        }
+
+        fn single_store_service() -> DecisionService<PersistentAdi> {
+            let vfs: Arc<dyn Vfs> = Arc::new(FaultVfs::default());
+            let store = PersistentAdi::open_with_vfs(vfs, Path::new("/one.log")).unwrap();
+            DecisionService::from_shards(
+                policy::parse_rbac_policy(POLICY).unwrap(),
+                b"key".to_vec(),
+                ShardedAdi::from_shards(vec![store]),
+            )
+        }
     }
 
     #[test]

@@ -504,6 +504,22 @@ fn open_store(vfs: &FaultVfs) -> PersistentAdi {
     PersistentAdi::open_with_vfs(arc, node_path()).expect("RAM-disk journal must open")
 }
 
+/// A replica's service over its one journaled store. One store means
+/// one symbol table, shared by construction, so every node decides on
+/// the compiled symbol engine and commits journal-first through
+/// `commit_sym` — the sweeps must cover that path, not the string
+/// fallback, hence the assertion.
+fn node_service(policy: &PdpPolicy, store: PersistentAdi) -> DecisionService<PersistentAdi> {
+    let svc = DecisionService::from_shards(
+        policy.clone(),
+        TRAIL_KEY.to_vec(),
+        ShardedAdi::from_shards(vec![store]),
+    );
+    assert!(svc.core().sym_engine().is_some(), "replica must run the symbol engine");
+    svc.set_replica_role(ReplicaRole::Replica);
+    svc
+}
+
 fn render_snap(records: &[AdiRecord]) -> String {
     let lines: Vec<String> = records
         .iter()
@@ -532,13 +548,7 @@ impl<'a> Sim<'a> {
         let nodes: Vec<Node> = (0..cfg.nodes)
             .map(|_| {
                 let vfs = FaultVfs::default();
-                let store = open_store(&vfs);
-                let svc = DecisionService::from_shards(
-                    policy.clone(),
-                    TRAIL_KEY.to_vec(),
-                    ShardedAdi::from_shards(vec![store]),
-                );
-                svc.set_replica_role(ReplicaRole::Replica);
+                let svc = node_service(&policy, open_store(&vfs));
                 Node {
                     vfs,
                     svc: Some(svc),
@@ -853,12 +863,7 @@ impl<'a> Sim<'a> {
             let (e, a) = (render_snap(expect), render_snap(&snap));
             self.diverge(Some(i), Some(applied), "restart-prefix", e, a);
         }
-        let svc = DecisionService::from_shards(
-            self.policy.clone(),
-            TRAIL_KEY.to_vec(),
-            ShardedAdi::from_shards(vec![store]),
-        );
-        svc.set_replica_role(ReplicaRole::Replica);
+        let svc = node_service(&self.policy, store);
         svc.set_apply_epoch(applied);
         let node = &mut self.nodes[i];
         node.svc = Some(svc);

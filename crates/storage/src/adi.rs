@@ -1,34 +1,53 @@
 //! Persistent retained ADI — the "secure relational database" backend
 //! the paper names as its next implementation (§6).
 //!
-//! [`PersistentAdi`] journals every mutation (add / purge / clear) to a
-//! CRC-framed [`OpLog`] and serves queries from an in-memory
-//! [`IndexedAdi`] index rebuilt by replay at open. Compared with the
-//! paper's shipped design (in-core ADI rebuilt by replaying secure audit
+//! [`PersistentAdi`] is a write-ahead journal *under* the symbolized
+//! index, not a parallel backend: every mutation (add / purge / clear)
+//! is queued as a CRC-framed [`OpLog`] frame and only then applied to
+//! an in-memory [`SymAdi`] — the same index type the in-memory
+//! symbolized service runs on — which replay rebuilds at open. Through
+//! the [`RetainedAdi::sym_index`] / [`RetainedAdi::commit_sym`] seam the
+//! compiled `msod::SymEngine` reads that index and commits
+//! already-interned records directly, so a durable decide costs an
+//! in-memory decide plus one buffered frame. Compared with the paper's
+//! shipped design (in-core ADI rebuilt by replaying secure audit
 //! trails), start-up only replays the *live* operation log, which
 //! compaction keeps proportional to the live record count — experiment
 //! E9 measures exactly this trade-off.
+//!
+//! ## One symbol table per service
+//!
+//! The index interns through a `SymbolTable`
+//! ([`PersistentAdi::open_with_table`]). A sharded service must open
+//! every shard against *one* table — that is what lets one compiled
+//! engine probe all of them; `DecisionService::open_persistent` does,
+//! and a service assembled from shards with different tables is served
+//! by the string engine instead. [`PersistentAdi::open`] /
+//! [`PersistentAdi::open_with_vfs`] give a standalone store a private
+//! table.
 //!
 //! ## Frame versions: string (v1) and symbol (v2) encodings
 //!
 //! Add frames come in two generations. The string-era [`OP_ADD`]
 //! encoding spells out every identity (user, role, operation, target,
-//! context pairs) in full. The symbol-era encoding matches the
-//! process-wide symbol plane (`symtab`): a journal-local dictionary
-//! maps each distinct string to a dense `u32` id, persisted as
-//! [`SymDict`] *define* frames ([`OP_DEF`]) followed by compact
+//! context pairs) in full. The symbol-era encoding carries ids: a
+//! journal-local dictionary maps each distinct string to a `u32` id,
+//! persisted as *define* frames ([`OP_DEF`]) followed by compact
 //! [`OP_ADD_V2`] frames that carry only ids. New writes and compaction
-//! rewrites always emit the symbol encoding; a [`ReplayDecoder`]
-//! replays both generations transparently, so a string-era journal
-//! migrates on open with no conversion step — its frames decode as
-//! before, and the first compaction rewrites the file all-v2.
+//! rewrites always emit the symbol encoding; replay accepts both
+//! generations, so a string-era journal migrates on open with no
+//! conversion step — its frames decode as before (and intern into the
+//! index like any other add), and the first compaction rewrites the
+//! file all-v2.
 //!
-//! Dictionary ids are *journal-scoped*, not process-scoped: they are
-//! defined by `OP_DEF` frames inside the file itself and carry no
-//! relation to the live `symtab::SymbolTable`. After a reopen the
-//! writer's dictionary restarts empty and re-defines every string
+//! Dictionary ids are *journal-scoped*: they mean what the `OP_DEF`
+//! frames inside the file say and nothing else. The live writer does
+//! reuse the process symbol as the id (so a record already interned
+//! for the index is journaled without hashing a single string), but
+//! nothing on disk depends on that: after a reopen
+//! the writer's epoch restarts empty and re-defines every string
 //! before first use, so a later `OP_DEF` may redefine an id from an
-//! earlier epoch; the decoder applies definitions in frame order, which
+//! earlier epoch; replay applies definitions in frame order, which
 //! makes redefinition safe (every add only references the most recent
 //! definition at its point in the stream).
 //!
@@ -41,7 +60,8 @@ use std::sync::Arc;
 
 use bytes::{Buf, BufMut};
 use context::{BoundContext, ContextInstance, ContextName, PatternValue};
-use msod::{AdiRecord, IndexedAdi, RetainedAdi, RoleRef};
+use msod::symtab::{Sym, SymbolTable};
+use msod::{AdiRecord, CtxPair, RetainedAdi, RoleRef, SymAdi, SymRecord};
 use obs::{Counter, Gauge, Histogram, PromWriter, Stopwatch};
 use parking_lot::Mutex;
 
@@ -66,8 +86,9 @@ const OP_ADD_V2: u8 = 5;
 const OP_MARK: u8 = 6;
 
 /// Encoded frames buffered in memory before one batched `append` pass —
-/// a mutation costs a `Vec` push on the common path instead of a write
-/// syscall, which matters once the store sits on the PDP's hot path.
+/// a mutation costs a buffer write on the common path instead of a
+/// write syscall, which matters once the store sits on the PDP's hot
+/// path.
 const BATCH_FRAMES: usize = 64;
 
 /// One journaled retained-ADI mutation — the unit of the frame format.
@@ -94,17 +115,14 @@ impl AdiOp {
     /// frames still use it, and because migration tests need to author
     /// string-era journals.
     pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::new();
         match self {
-            AdiOp::Add(rec) => encode_add(rec),
-            AdiOp::Purge(bound) => encode_purge_bound(bound),
-            AdiOp::PurgeOlderThan(cutoff) => {
-                let mut buf = Vec::with_capacity(9);
-                buf.put_u8(OP_PURGE_OLDER);
-                buf.put_u64_le(*cutoff);
-                buf
-            }
-            AdiOp::Clear => vec![OP_CLEAR],
+            AdiOp::Add(rec) => put_add(&mut buf, rec),
+            AdiOp::Purge(bound) => put_purge_bound(&mut buf, bound),
+            AdiOp::PurgeOlderThan(cutoff) => put_purge_older(&mut buf, *cutoff),
+            AdiOp::Clear => buf.put_u8(OP_CLEAR),
         }
+        buf
     }
 
     /// Parse a string-era (v1) journal-frame payload. `None` when the
@@ -146,14 +164,16 @@ impl AdiOp {
     }
 }
 
-/// Durable [`RetainedAdi`] backend.
+/// Durable [`RetainedAdi`] backend: a write-ahead journal under a
+/// [`SymAdi`] index.
 ///
-/// Mutations are journaled as encoded frames into an in-memory batch
-/// (behind its own lock, so journaling never needs exclusive access to
-/// the index) and flushed to the [`OpLog`] in batches — every
-/// [`BATCH_FRAMES`] operations, on [`PersistentAdi::sync`], on
-/// compaction and on drop. Durability is therefore explicit: call
-/// `sync` at the points that must survive a crash.
+/// Every mutation is encoded into an in-memory frame batch *before* the
+/// index changes, and the batch is flushed to the [`OpLog`] every
+/// [`BATCH_FRAMES`] frames, on [`PersistentAdi::sync`], on compaction
+/// and on drop. Durability is therefore explicit: call `sync` at the
+/// points that must survive a crash. (The journal sits behind its own
+/// lock so `flush`/`sync`/`compact` work through `&self`; the mutation
+/// paths hold `&mut self` and reach it without locking.)
 ///
 /// I/O failures on the journaling path are latched: the first error is
 /// stored and surfaced by the next [`PersistentAdi::flush`] or
@@ -164,7 +184,7 @@ impl AdiOp {
 /// mutation sequence until a catch-up rewrite (a compaction from the
 /// authoritative in-memory index) succeeds and re-synchronizes it.
 pub struct PersistentAdi {
-    index: IndexedAdi,
+    index: SymAdi,
     journal: Mutex<Journal>,
     recovery: RecoveryReport,
 }
@@ -194,10 +214,121 @@ struct JournalMetrics {
     recovery_bytes_truncated: Gauge,
 }
 
+/// Encoded frame payloads held back to back in one buffer, so queueing
+/// a frame is a write into warm memory rather than an allocation.
+#[derive(Debug, Default)]
+struct FrameBatch {
+    bytes: Vec<u8>,
+    /// End offset of each payload in `bytes`.
+    ends: Vec<usize>,
+}
+
+impl FrameBatch {
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.ends.clear();
+    }
+
+    /// Append one payload, written by `put`.
+    fn frame(&mut self, put: impl FnOnce(&mut Vec<u8>)) {
+        put(&mut self.bytes);
+        self.ends.push(self.bytes.len());
+    }
+
+    /// The payloads, in queue order.
+    fn iter(&self) -> impl Iterator<Item = &[u8]> {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let frame = &self.bytes[start..end];
+            start = end;
+            frame
+        })
+    }
+}
+
+/// A growable bitset over dense ids.
+#[derive(Debug, Default)]
+struct IdSet(Vec<u64>);
+
+impl IdSet {
+    /// Add `id`; `true` when it was not in the set before.
+    fn insert(&mut self, id: u32) -> bool {
+        let (word, mask) = (id as usize / 64, 1u64 << (id % 64));
+        if word >= self.0.len() {
+            self.0.resize(word + 1, 0);
+        }
+        let fresh = self.0[word] & mask == 0;
+        self.0[word] |= mask;
+        fresh
+    }
+}
+
+/// Dictionary ids at or above this bit name users (`USER_TAG | UserId`);
+/// ids below it name raw strings (`Sym`). Users live in their own
+/// interner arena, so the two id ranges would otherwise collide.
+const USER_TAG: u32 = 1 << 31;
+
+/// The writer's dictionary for one journal epoch (from open or
+/// compaction until the next compaction): which process symbols already
+/// have their [`OP_DEF`] frame queued. The journal-local id of a string
+/// *is* its process symbol, so a record the index already interned is
+/// journaled without touching a string — one bit test per identity,
+/// with the string resolved (and its define frame emitted, ahead of
+/// the frame that references it) only on first sight.
+#[derive(Debug, Default)]
+struct Defined {
+    strs: IdSet,
+    users: IdSet,
+}
+
+/// Queue `rec` on `out` as the symbol-era frame sequence: an [`OP_DEF`]
+/// for every identity `defined` has not seen this epoch, then exactly
+/// one [`OP_ADD_V2`]. `ids` is scratch.
+fn queue_sym_record(
+    defined: &mut Defined,
+    ids: &mut Vec<u32>,
+    table: &SymbolTable,
+    rec: &SymRecord,
+    out: &mut FrameBatch,
+) {
+    ids.clear();
+    let user = USER_TAG | rec.user.as_u32();
+    if defined.users.insert(rec.user.as_u32()) {
+        out.frame(|buf| put_def(buf, user, &table.resolve_user(rec.user)));
+    }
+    ids.push(user);
+    let mut sym = |s: Sym| {
+        let id = s.as_u32();
+        assert!(id < USER_TAG, "string symbol collides with the user id range");
+        if defined.strs.insert(id) {
+            out.frame(|buf| put_def(buf, id, &table.resolve_str(s)));
+        }
+        ids.push(id);
+    };
+    for &role in &rec.roles {
+        let (ty, value) = table.role_syms(role);
+        sym(ty);
+        sym(value);
+    }
+    let (operation, target) = table.priv_syms(rec.priv_id);
+    sym(operation);
+    sym(target);
+    for pair in &rec.ctx {
+        let (ty, value) = table.ctx_syms(pair.id);
+        sym(ty);
+        sym(value);
+    }
+    out.frame(|buf| put_add_v2(buf, rec.timestamp, rec.roles.len(), ids.as_slice()));
+}
+
 /// The write-side state: op log plus the pending frame batch.
 struct Journal {
     log: OpLog,
-    batch: Vec<Vec<u8>>,
+    batch: FrameBatch,
     /// Journal frames recorded since the last compaction.
     ops_since_compaction: u64,
     latched_error: Option<StorageError>,
@@ -211,7 +342,9 @@ struct Journal {
     /// compaction (whose rewrite defines its own ids); both keep the
     /// invariant that every id the dictionary knows has had its
     /// `OP_DEF` frame queued ahead of any frame referencing it.
-    dict: SymDict,
+    defined: Defined,
+    /// Scratch for [`queue_sym_record`].
+    ids: Vec<u32>,
     /// Highest replication checkpoint seen — replayed at open, updated
     /// by [`PersistentAdi::append_marker`], re-emitted by compaction so
     /// rewrites never lose the checkpoint.
@@ -224,22 +357,35 @@ struct Journal {
 
 impl Journal {
     /// Queue one record as symbol-encoded frames (defs + add).
-    fn push_add(&mut self, rec: &AdiRecord) {
-        let mut frames = Vec::with_capacity(1);
-        encode_add_v2(&mut self.dict, rec, &mut frames);
-        for frame in frames {
-            self.push(frame);
-        }
+    fn push_sym(&mut self, table: &SymbolTable, rec: &SymRecord) {
+        let before = self.batch.len();
+        queue_sym_record(&mut self.defined, &mut self.ids, table, rec, &mut self.batch);
+        self.queued((self.batch.len() - before) as u64);
     }
 
-    /// Queue one frame, flushing when the batch is full.
-    fn push(&mut self, frame: Vec<u8>) {
-        self.metrics.appends.inc();
-        self.batch.push(frame);
-        self.ops_since_compaction += 1;
+    /// Queue one frame, written by `put`.
+    fn push(&mut self, put: impl FnOnce(&mut Vec<u8>)) {
+        self.batch.frame(put);
+        self.queued(1);
+    }
+
+    /// Account for `frames` newly queued frames, flushing when the
+    /// batch is full.
+    fn queued(&mut self, frames: u64) {
+        self.metrics.appends.add(frames);
+        self.ops_since_compaction += frames;
         if self.batch.len() >= BATCH_FRAMES {
             self.flush();
         }
+    }
+
+    /// Whether the journal should be rewritten from an index holding
+    /// `live` records: it is more than double the live set (plus slack
+    /// so small stores never compact), or a failed append left it
+    /// behind the index and a rewrite is the only way to catch it back
+    /// up.
+    fn compaction_due(&self, live: usize) -> bool {
+        self.needs_rewrite || self.ops_since_compaction > 2 * (live as u64) + 512
     }
 
     /// Append batched frames to the log, stopping at the first I/O
@@ -247,7 +393,7 @@ impl Journal {
     /// (counted in `append_errors`) rather than written after a hole,
     /// and the journal is marked for a full rewrite from the index.
     fn flush(&mut self) {
-        if self.batch.is_empty() {
+        if self.batch.len() == 0 {
             return;
         }
         if self.needs_rewrite {
@@ -261,7 +407,7 @@ impl Journal {
         }
         let timed = Stopwatch::start();
         let mut written = 0usize;
-        for frame in &self.batch {
+        for frame in self.batch.iter() {
             if let Err(e) = self.log.append(frame) {
                 self.metrics.append_errors.add((self.batch.len() - written) as u64);
                 if self.latched_error.is_none() {
@@ -335,7 +481,8 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.put_slice(s.as_bytes());
 }
 
-fn get_str(buf: &mut &[u8]) -> Option<String> {
+/// Borrow one length-prefixed UTF-8 string out of `buf`.
+fn get_str<'a>(buf: &mut &'a [u8]) -> Option<&'a str> {
     if buf.remaining() < 4 {
         return None;
     }
@@ -343,28 +490,27 @@ fn get_str(buf: &mut &[u8]) -> Option<String> {
     if buf.remaining() < len {
         return None;
     }
-    let bytes = buf.copy_to_bytes(len);
-    String::from_utf8(bytes.to_vec()).ok()
+    let (bytes, rest) = buf.split_at(len);
+    *buf = rest;
+    std::str::from_utf8(bytes).ok()
 }
 
-fn encode_add(rec: &AdiRecord) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(96);
+fn put_add(buf: &mut Vec<u8>, rec: &AdiRecord) {
     buf.put_u8(OP_ADD);
     buf.put_u64_le(rec.timestamp);
-    put_str(&mut buf, &rec.user);
+    put_str(buf, &rec.user);
     buf.put_u32_le(rec.roles.len() as u32);
     for r in &rec.roles {
-        put_str(&mut buf, &r.role_type);
-        put_str(&mut buf, &r.value);
+        put_str(buf, &r.role_type);
+        put_str(buf, &r.value);
     }
-    put_str(&mut buf, &rec.operation);
-    put_str(&mut buf, &rec.target);
+    put_str(buf, &rec.operation);
+    put_str(buf, &rec.target);
     buf.put_u32_le(rec.context.pairs().len() as u32);
     for (t, v) in rec.context.pairs() {
-        put_str(&mut buf, t);
-        put_str(&mut buf, v);
+        put_str(buf, t);
+        put_str(buf, v);
     }
-    buf
 }
 
 fn decode_add(buf: &mut &[u8]) -> Option<AdiRecord> {
@@ -372,7 +518,7 @@ fn decode_add(buf: &mut &[u8]) -> Option<AdiRecord> {
         return None;
     }
     let timestamp = buf.get_u64_le();
-    let user = get_str(buf)?;
+    let user = get_str(buf)?.to_owned();
     if buf.remaining() < 4 {
         return None;
     }
@@ -384,8 +530,8 @@ fn decode_add(buf: &mut &[u8]) -> Option<AdiRecord> {
     for _ in 0..n_roles {
         roles.push(RoleRef::new(get_str(buf)?, get_str(buf)?));
     }
-    let operation = get_str(buf)?;
-    let target = get_str(buf)?;
+    let operation = get_str(buf)?.to_owned();
+    let target = get_str(buf)?.to_owned();
     if buf.remaining() < 4 {
         return None;
     }
@@ -395,7 +541,7 @@ fn decode_add(buf: &mut &[u8]) -> Option<AdiRecord> {
     }
     let mut pairs = Vec::with_capacity(n_pairs);
     for _ in 0..n_pairs {
-        pairs.push((get_str(buf)?, get_str(buf)?));
+        pairs.push((get_str(buf)?.to_owned(), get_str(buf)?.to_owned()));
     }
     let context = ContextInstance::from_pairs(pairs).ok()?;
     Some(AdiRecord { user, roles, operation, target, context, timestamp })
@@ -403,23 +549,21 @@ fn decode_add(buf: &mut &[u8]) -> Option<AdiRecord> {
 
 /// Bound contexts are encoded structurally (type, tag, value) so values
 /// containing `,`/`=` survive.
-fn encode_purge_bound(bound: &BoundContext) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(48);
+fn put_purge_bound(buf: &mut Vec<u8>, bound: &BoundContext) {
     buf.put_u8(OP_PURGE_BOUND);
     let comps = bound.name().components();
     buf.put_u32_le(comps.len() as u32);
     for c in comps {
-        put_str(&mut buf, &c.ctx_type);
+        put_str(buf, &c.ctx_type);
         match &c.value {
             PatternValue::Literal(v) => {
                 buf.put_u8(0);
-                put_str(&mut buf, v);
+                put_str(buf, v);
             }
             PatternValue::AllInstances => buf.put_u8(1),
             PatternValue::PerInstance => unreachable!("bound contexts contain no '!'"),
         }
     }
-    buf
 }
 
 fn decode_purge_bound(buf: &mut &[u8]) -> Option<BoundContext> {
@@ -432,12 +576,12 @@ fn decode_purge_bound(buf: &mut &[u8]) -> Option<BoundContext> {
     }
     let mut comps = Vec::with_capacity(n);
     for _ in 0..n {
-        let ctx_type = get_str(buf)?;
+        let ctx_type = get_str(buf)?.to_owned();
         if buf.remaining() < 1 {
             return None;
         }
         let value = match buf.get_u8() {
-            0 => PatternValue::Literal(get_str(buf)?),
+            0 => PatternValue::Literal(get_str(buf)?.to_owned()),
             1 => PatternValue::AllInstances,
             _ => return None,
         };
@@ -447,18 +591,58 @@ fn decode_purge_bound(buf: &mut &[u8]) -> Option<BoundContext> {
     BoundContext::from_name(name).ok()
 }
 
-/// Write-side journal dictionary for the symbol-encoded (v2) add
-/// frames: string → dense `u32` id, with ids assigned on first sight.
+fn put_purge_older(buf: &mut Vec<u8>, cutoff: u64) {
+    buf.put_u8(OP_PURGE_OLDER);
+    buf.put_u64_le(cutoff);
+}
+
+fn put_marker(buf: &mut Vec<u8>, seq: u64) {
+    buf.put_u8(OP_MARK);
+    buf.put_u64_le(seq);
+}
+
+fn put_def(buf: &mut Vec<u8>, id: u32, s: &str) {
+    buf.put_u8(OP_DEF);
+    buf.put_u32_le(id);
+    put_str(buf, s);
+}
+
+/// The [`OP_ADD_V2`] layout, from dictionary ids in frame order:
+/// `[user, (role type, role value)…, operation, target, (context type,
+/// context value)…]` with `n_roles` role pairs.
+fn put_add_v2(buf: &mut Vec<u8>, timestamp: u64, n_roles: usize, ids: &[u32]) {
+    let (user_and_roles, rest) = ids.split_at(1 + 2 * n_roles);
+    let (privilege, pairs) = rest.split_at(2);
+    buf.put_u8(OP_ADD_V2);
+    buf.put_u64_le(timestamp);
+    buf.put_u32_le(user_and_roles[0]);
+    buf.put_u32_le(n_roles as u32);
+    for &id in &user_and_roles[1..] {
+        buf.put_u32_le(id);
+    }
+    buf.put_u32_le(privilege[0]);
+    buf.put_u32_le(privilege[1]);
+    buf.put_u32_le((pairs.len() / 2) as u32);
+    for &id in pairs {
+        buf.put_u32_le(id);
+    }
+}
+
+/// String-keyed journal dictionary for [`encode_add_v2`]: string →
+/// dense `u32` id, with ids assigned on first sight.
 ///
-/// Ids are scoped to one journal epoch (from open or compaction until
-/// the next compaction). [`SymDict::sym`] returns the id and, on first
-/// sight, pushes the [`OP_DEF`] frame that persists the binding —
-/// callers must journal those frames *before* the frame that
+/// Ids are scoped to one journal epoch. [`SymDict::sym`] returns the id
+/// and, on first sight, pushes the [`OP_DEF`] frame that persists the
+/// binding — callers must journal those frames *before* the frame that
 /// references them, which [`encode_add_v2`] guarantees by emitting into
-/// one ordered frame list.
+/// one ordered frame list. ([`PersistentAdi`] itself journals records
+/// the index has already interned and keys its dictionary by process
+/// symbol instead; both write the same frames.)
 #[derive(Debug, Default)]
 pub struct SymDict {
     ids: std::collections::HashMap<String, u32>,
+    /// Id scratch for [`encode_add_v2`], kept to spare it an allocation.
+    scratch: Vec<u32>,
 }
 
 impl SymDict {
@@ -476,9 +660,7 @@ impl SymDict {
         let id = self.ids.len() as u32;
         self.ids.insert(s.to_owned(), id);
         let mut def = Vec::with_capacity(9 + s.len());
-        def.put_u8(OP_DEF);
-        def.put_u32_le(id);
-        put_str(&mut def, s);
+        put_def(&mut def, id, s);
         frames.push(def);
         id
     }
@@ -491,23 +673,23 @@ impl SymDict {
 /// that persists any prefix never leaves an add referencing an
 /// undefined id.
 pub fn encode_add_v2(dict: &mut SymDict, rec: &AdiRecord, out: &mut Vec<Vec<u8>>) {
-    let mut buf = Vec::with_capacity(32 + 8 * rec.roles.len() + 8 * rec.context.pairs().len());
-    buf.put_u8(OP_ADD_V2);
-    buf.put_u64_le(rec.timestamp);
-    buf.put_u32_le(dict.sym(&rec.user, out));
-    buf.put_u32_le(rec.roles.len() as u32);
+    let mut ids = std::mem::take(&mut dict.scratch);
+    ids.clear();
+    ids.push(dict.sym(&rec.user, out));
     for r in &rec.roles {
-        buf.put_u32_le(dict.sym(&r.role_type, out));
-        buf.put_u32_le(dict.sym(&r.value, out));
+        ids.push(dict.sym(&r.role_type, out));
+        ids.push(dict.sym(&r.value, out));
     }
-    buf.put_u32_le(dict.sym(&rec.operation, out));
-    buf.put_u32_le(dict.sym(&rec.target, out));
-    buf.put_u32_le(rec.context.pairs().len() as u32);
+    ids.push(dict.sym(&rec.operation, out));
+    ids.push(dict.sym(&rec.target, out));
     for (t, v) in rec.context.pairs() {
-        buf.put_u32_le(dict.sym(t, out));
-        buf.put_u32_le(dict.sym(v, out));
+        ids.push(dict.sym(t, out));
+        ids.push(dict.sym(v, out));
     }
+    let mut buf = Vec::with_capacity(25 + 4 * ids.len());
+    put_add_v2(&mut buf, rec.timestamp, rec.roles.len(), &ids);
     out.push(buf);
+    dict.scratch = ids;
 }
 
 /// One decoded journal frame, as seen by [`ReplayDecoder::decode`].
@@ -534,6 +716,17 @@ pub struct ReplayDecoder {
     strings: std::collections::HashMap<u32, String>,
 }
 
+/// An [`OP_ADD_V2`] body with its ids resolved, borrowing the strings
+/// from the decoder's dictionary.
+struct AddV2<'a> {
+    timestamp: u64,
+    user: &'a str,
+    roles: Vec<(&'a str, &'a str)>,
+    operation: &'a str,
+    target: &'a str,
+    pairs: Vec<(&'a str, &'a str)>,
+}
+
 impl ReplayDecoder {
     /// New decoder with an empty dictionary.
     pub fn new() -> Self {
@@ -558,12 +751,20 @@ impl ReplayDecoder {
                 let s = get_str(&mut buf)?;
                 // Later definitions win: after a reopen the writer's
                 // dictionary restarts and re-defines ids before use.
-                self.strings.insert(id, s);
+                self.strings.insert(id, s.to_owned());
                 Some(ReplayFrame::Def)
             }
             OP_ADD_V2 => {
-                buf.advance(1);
-                self.decode_add_v2(&mut buf).map(|rec| ReplayFrame::Op(AdiOp::Add(rec)))
+                let add = self.read_add_v2(&payload[1..])?;
+                let pairs = add.pairs.iter().map(|&(t, v)| (t.to_owned(), v.to_owned())).collect();
+                Some(ReplayFrame::Op(AdiOp::Add(AdiRecord {
+                    user: add.user.to_owned(),
+                    roles: add.roles.iter().map(|&(t, v)| RoleRef::new(t, v)).collect(),
+                    operation: add.operation.to_owned(),
+                    target: add.target.to_owned(),
+                    context: ContextInstance::from_pairs(pairs).ok()?,
+                    timestamp: add.timestamp,
+                })))
             }
             OP_MARK => {
                 buf.advance(1);
@@ -577,11 +778,36 @@ impl ReplayDecoder {
         }
     }
 
-    fn resolve(&self, id: u32) -> Option<String> {
-        self.strings.get(&id).cloned()
+    /// Decode an [`OP_ADD_V2`] payload straight into an interned
+    /// record — the open path's form of [`ReplayDecoder::decode`], which
+    /// spares replay the string record in between. Accepts exactly the
+    /// frames `decode` accepts.
+    fn decode_add_sym(&self, payload: &[u8], table: &SymbolTable) -> Option<SymRecord> {
+        let add = self.read_add_v2(&payload[1..])?;
+        ContextInstance::check_pairs(&add.pairs).ok()?;
+        Some(SymRecord {
+            user: table.intern_user(add.user),
+            roles: add.roles.iter().map(|&(t, v)| table.intern_role(t, v)).collect(),
+            priv_id: table.intern_priv(add.operation, add.target),
+            ctx: add
+                .pairs
+                .iter()
+                .map(|&(t, v)| {
+                    let id = table.intern_ctx_pair(t, v);
+                    CtxPair { ty: table.ctx_type_of(id), id }
+                })
+                .collect(),
+            timestamp: add.timestamp,
+        })
     }
 
-    fn decode_add_v2(&self, buf: &mut &[u8]) -> Option<AdiRecord> {
+    fn resolve(&self, id: u32) -> Option<&str> {
+        self.strings.get(&id).map(String::as_str)
+    }
+
+    /// Read an [`OP_ADD_V2`] body (the payload past its tag byte).
+    fn read_add_v2(&self, mut buf: &[u8]) -> Option<AddV2<'_>> {
+        let buf = &mut buf;
         if buf.remaining() < 16 {
             return None;
         }
@@ -593,9 +819,7 @@ impl ReplayDecoder {
         }
         let mut roles = Vec::with_capacity(n_roles);
         for _ in 0..n_roles {
-            let role_type = self.resolve(buf.get_u32_le())?;
-            let value = self.resolve(buf.get_u32_le())?;
-            roles.push(RoleRef::new(role_type, value));
+            roles.push((self.resolve(buf.get_u32_le())?, self.resolve(buf.get_u32_le())?));
         }
         if buf.remaining() < 12 {
             return None;
@@ -608,24 +832,76 @@ impl ReplayDecoder {
         }
         let mut pairs = Vec::with_capacity(n_pairs);
         for _ in 0..n_pairs {
-            let t = self.resolve(buf.get_u32_le())?;
-            let v = self.resolve(buf.get_u32_le())?;
-            pairs.push((t, v));
+            pairs.push((self.resolve(buf.get_u32_le())?, self.resolve(buf.get_u32_le())?));
         }
-        let context = ContextInstance::from_pairs(pairs).ok()?;
-        Some(AdiRecord { user, roles, operation, target, context, timestamp })
+        Some(AddV2 { timestamp, user, roles, operation, target, pairs })
+    }
+}
+
+/// Journal replay into a symbol index: the state one scan of a journal
+/// builds up, shared by [`PersistentAdi::open_with_table`] and
+/// [`crate::verify_journal`].
+pub(crate) struct IndexReplay {
+    decoder: ReplayDecoder,
+    pub(crate) index: SymAdi,
+    pub(crate) last_marker: Option<u64>,
+}
+
+impl IndexReplay {
+    pub(crate) fn new(table: Arc<SymbolTable>) -> Self {
+        IndexReplay { decoder: ReplayDecoder::new(), index: SymAdi::new(table), last_marker: None }
+    }
+
+    /// Apply the next frame payload; `false` when it does not decode.
+    /// Symbol-era adds intern straight into the index's slab; every
+    /// other frame (string-era adds included) goes through
+    /// [`ReplayDecoder::decode`].
+    pub(crate) fn apply(&mut self, payload: &[u8]) -> bool {
+        if payload.first() == Some(&OP_ADD_V2) {
+            return match self.decoder.decode_add_sym(payload, self.index.table()) {
+                Some(rec) => {
+                    self.index.add_sym(rec);
+                    true
+                }
+                None => false,
+            };
+        }
+        match self.decoder.decode(payload) {
+            Some(ReplayFrame::Op(op)) => op.apply(&mut self.index),
+            Some(ReplayFrame::Def) => {}
+            Some(ReplayFrame::Marker(seq)) => self.last_marker = Some(seq),
+            None => return false,
+        }
+        true
+    }
+
+    /// Whether the next frame payload decodes, without applying it —
+    /// for scans that keep classifying frames past the point where
+    /// they stopped trusting them.
+    pub(crate) fn decodes(&mut self, payload: &[u8]) -> bool {
+        self.decoder.decode(payload).is_some()
     }
 }
 
 impl PersistentAdi {
     /// Open (creating if absent) the store at `path` on the real
-    /// filesystem. See [`PersistentAdi::open_with_vfs`].
+    /// filesystem, over a symbol table of its own. See
+    /// [`PersistentAdi::open_with_table`].
     pub fn open(path: impl AsRef<Path>) -> Result<Self, StorageError> {
         PersistentAdi::open_with_vfs(std_vfs(), path.as_ref())
     }
 
     /// Open (creating if absent) the store at `path` through `vfs`,
-    /// replaying its journal to rebuild the in-memory index.
+    /// over a symbol table of its own. See
+    /// [`PersistentAdi::open_with_table`].
+    pub fn open_with_vfs(vfs: Arc<dyn Vfs>, path: &Path) -> Result<Self, StorageError> {
+        PersistentAdi::open_with_table(vfs, path, Arc::new(SymbolTable::new()))
+    }
+
+    /// Open (creating if absent) the store at `path` through `vfs`,
+    /// replaying its journal to rebuild the in-memory index, which
+    /// interns through `table`. The shards of one sharded service must
+    /// all be opened against the same table (see the module docs).
     ///
     /// This is the crash-recovery path: a torn trailing write, a
     /// CRC-corrupt frame or an undecodable payload truncates the
@@ -634,7 +910,11 @@ impl PersistentAdi {
     /// is removed, and everything that happened is reported by
     /// [`PersistentAdi::recovery`] instead of panicking or silently
     /// skipping.
-    pub fn open_with_vfs(vfs: Arc<dyn Vfs>, path: &Path) -> Result<Self, StorageError> {
+    pub fn open_with_table(
+        vfs: Arc<dyn Vfs>,
+        path: &Path,
+        table: Arc<SymbolTable>,
+    ) -> Result<Self, StorageError> {
         // A crash between a compaction's temp write and its rename
         // leaves the old journal plus a stale temp file: recover from
         // the old journal, discard the temp.
@@ -643,22 +923,8 @@ impl PersistentAdi {
         if stale_tmp {
             vfs.remove_file(&tmp)?;
         }
-        let mut index = IndexedAdi::new();
-        let mut decoder = ReplayDecoder::new();
-        let mut last_marker = None;
-        let (log, mut report) =
-            OpLog::open_with_vfs(vfs, path, |payload| match decoder.decode(payload) {
-                Some(ReplayFrame::Op(op)) => {
-                    op.apply(&mut index);
-                    true
-                }
-                Some(ReplayFrame::Def) => true,
-                Some(ReplayFrame::Marker(seq)) => {
-                    last_marker = Some(seq);
-                    true
-                }
-                None => false,
-            })?;
+        let mut replay = IndexReplay::new(table);
+        let (log, mut report) = OpLog::open_with_vfs(vfs, path, |payload| replay.apply(payload))?;
         report.stale_compaction_tmp = stale_tmp;
         let ops = log.frames();
         let metrics = JournalMetrics::default();
@@ -666,18 +932,19 @@ impl PersistentAdi {
         metrics.recovery_frames_dropped.set(report.frames_dropped);
         metrics.recovery_bytes_truncated.set(report.bytes_truncated);
         let adi = PersistentAdi {
-            index,
+            index: replay.index,
             journal: Mutex::new(Journal {
                 log,
-                batch: Vec::new(),
+                batch: FrameBatch::default(),
                 ops_since_compaction: ops,
                 latched_error: None,
                 needs_rewrite: false,
                 // Fresh epoch: ids are re-defined before first use, and
-                // the decoder's later-definition-wins rule keeps old
-                // frames decoding correctly.
-                dict: SymDict::new(),
-                last_marker,
+                // replay's later-definition-wins rule keeps old frames
+                // decoding correctly.
+                defined: Defined::default(),
+                ids: Vec::new(),
+                last_marker: replay.last_marker,
                 abandoned: false,
                 metrics,
             }),
@@ -709,9 +976,7 @@ impl PersistentAdi {
             (journal.latched_error.take(), journal.needs_rewrite)
         };
         if needs_rewrite {
-            if let Err(e) = self.compact() {
-                self.journal.lock().latch(e);
-            }
+            self.compact_latching();
         }
         match err {
             Some(e) => Err(e),
@@ -732,25 +997,26 @@ impl PersistentAdi {
     }
 
     /// Force a compaction: rewrite the journal symbol-encoded — the
-    /// dictionary's define frames plus one add per live record. A
-    /// string-era (v1) journal therefore migrates to the symbol format
-    /// on its first compaction. The pending batch is dropped — the
-    /// snapshot already reflects every batched mutation.
+    /// dictionary's define frames plus one add per live record, in the
+    /// index's insertion order. A string-era (v1) journal therefore
+    /// migrates to the symbol format on its first compaction. The
+    /// pending batch is dropped — the index already reflects every
+    /// batched mutation.
     pub fn compact(&self) -> Result<(), StorageError> {
-        let snapshot = self.index.snapshot();
-        let mut dict = SymDict::new();
-        let mut frames: Vec<Vec<u8>> = Vec::with_capacity(snapshot.len());
-        for rec in &snapshot {
-            encode_add_v2(&mut dict, rec, &mut frames);
+        let mut defined = Defined::default();
+        let mut frames = FrameBatch::default();
+        let mut ids = Vec::new();
+        for rec in self.index.sym_records() {
+            queue_sym_record(&mut defined, &mut ids, self.index.table(), rec, &mut frames);
         }
         let mut journal = self.journal.lock();
         journal.batch.clear();
         // A rewrite must not lose the replication checkpoint: the
         // snapshot it carries is exactly the state as of that marker.
         if let Some(seq) = journal.last_marker {
-            frames.push(encode_marker(seq));
+            frames.frame(|buf| put_marker(buf, seq));
         }
-        if let Err(e) = journal.log.rewrite(frames.iter().map(|f| f.as_slice())) {
+        if let Err(e) = journal.log.rewrite(frames.iter()) {
             // The batch is already gone (superseded by the snapshot)
             // but the rewrite that was to carry its mutations did not
             // land, so the on-disk journal is now behind the index.
@@ -762,9 +1028,9 @@ impl PersistentAdi {
         }
         journal.ops_since_compaction = 0;
         journal.needs_rewrite = false;
-        // The rewrite defined exactly `dict`'s ids on disk, so appends
-        // can keep referencing them without re-defining.
-        journal.dict = dict;
+        // The rewrite defined exactly `defined`'s ids on disk, so
+        // appends can keep referencing them without re-defining.
+        journal.defined = defined;
         journal.metrics.compactions.inc();
         Ok(())
     }
@@ -788,30 +1054,23 @@ impl PersistentAdi {
         self.journal.lock().needs_rewrite
     }
 
+    /// Compact when due ([`Journal::compaction_due`]). Must run *after*
+    /// the index reflects every queued frame: compacting from an index
+    /// that predates a mutation whose frame was just batched would
+    /// silently drop it.
     fn maybe_compact(&self) {
-        // Compact when the journal is more than double the live set
-        // (plus slack so small stores never compact), or when a failed
-        // append left the journal behind the index and a rewrite is
-        // the only way to catch it back up.
-        let due = {
-            let journal = self.journal.lock();
-            journal.needs_rewrite
-                || journal.ops_since_compaction > 2 * (self.index.len() as u64) + 512
-        };
+        let due = self.journal.lock().compaction_due(self.index.len());
         if due {
-            if let Err(e) = self.compact() {
-                self.journal.lock().latch(e);
-            }
+            self.compact_latching();
         }
     }
 
-    /// Queue one encoded mutation. Compaction is NOT considered here:
-    /// the caller must update the index first and then call
-    /// [`PersistentAdi::maybe_compact`] — compacting from a snapshot
-    /// that predates the mutation whose frame was just batched would
-    /// silently drop it.
-    fn journal(&self, payload: Vec<u8>) {
-        self.journal.lock().push(payload);
+    /// [`PersistentAdi::compact`], latching a failure for the next
+    /// `flush`/`sync` to surface.
+    fn compact_latching(&self) {
+        if let Err(e) = self.compact() {
+            self.journal.lock().latch(e);
+        }
     }
 
     /// Journal a replication checkpoint: every frame queued so far
@@ -823,7 +1082,7 @@ impl PersistentAdi {
     /// reach the journal file.
     pub fn append_marker(&self, seq: u64) {
         let mut journal = self.journal.lock();
-        journal.push(encode_marker(seq));
+        journal.push(|buf| put_marker(buf, seq));
         journal.last_marker = Some(seq);
     }
 
@@ -842,13 +1101,6 @@ impl PersistentAdi {
     pub fn abandon(&self) {
         self.journal.lock().abandoned = true;
     }
-}
-
-fn encode_marker(seq: u64) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(9);
-    buf.put_u8(OP_MARK);
-    buf.put_u64_le(seq);
-    buf
 }
 
 /// Truncate the journal at `path` to the end of its last intact,
@@ -943,9 +1195,10 @@ pub fn tail_journal_with_vfs(
 
 impl RetainedAdi for PersistentAdi {
     fn add(&mut self, record: AdiRecord) {
-        self.journal.lock().push_add(&record);
-        self.index.add(record);
-        self.maybe_compact();
+        // Interned once: the same symbols key the journal frame and the
+        // index entry.
+        let record = self.index.intern_record(&record);
+        self.commit_sym(record);
     }
 
     fn context_active(&self, bound: &BoundContext) -> bool {
@@ -962,14 +1215,15 @@ impl RetainedAdi for PersistentAdi {
     }
 
     fn purge(&mut self, bound: &BoundContext) -> usize {
-        self.journal(encode_purge_bound(bound));
+        // Write-ahead, as on every mutation path: frame first, index second.
+        self.journal.get_mut().push(|buf| put_purge_bound(buf, bound));
         let n = self.index.purge(bound);
         self.maybe_compact();
         n
     }
 
     fn purge_older_than(&mut self, cutoff: u64) -> usize {
-        self.journal(AdiOp::PurgeOlderThan(cutoff).encode());
+        self.journal.get_mut().push(|buf| put_purge_older(buf, cutoff));
         let n = self.index.purge_older_than(cutoff);
         self.maybe_compact();
         n
@@ -980,13 +1234,31 @@ impl RetainedAdi for PersistentAdi {
     }
 
     fn clear(&mut self) {
-        self.journal(AdiOp::Clear.encode());
+        self.journal.get_mut().push(|buf| buf.put_u8(OP_CLEAR));
         self.index.clear();
         self.maybe_compact();
     }
 
     fn snapshot(&self) -> Vec<AdiRecord> {
         self.index.snapshot()
+    }
+
+    fn sym_index(&self) -> Option<&SymAdi> {
+        Some(&self.index)
+    }
+
+    /// The durable commit: frame queued first, index second, and the
+    /// compaction check only once the index holds the record (the
+    /// journal is reached through `&mut self`, so the whole commit
+    /// takes no lock).
+    fn commit_sym(&mut self, record: SymRecord) {
+        let journal = self.journal.get_mut();
+        journal.push_sym(self.index.table(), &record);
+        let due = journal.compaction_due(self.index.len() + 1);
+        self.index.add_sym(record);
+        if due {
+            self.compact_latching();
+        }
     }
 
     fn export_metrics(&self, w: &mut PromWriter, labels: &[(&str, &str)]) {
@@ -1447,6 +1719,76 @@ mod tests {
         drop(adi);
         let adi = PersistentAdi::open_with_vfs(arc, path).unwrap();
         assert_eq!(adi.snapshot(), oracle.snapshot());
+    }
+
+    /// Users are interned in an arena of their own, so user #0 and
+    /// string #0 are different identities with the same raw symbol. The
+    /// journal keeps them apart (`USER_TAG`): a user named like a role
+    /// value, an operation and a context value still replays as itself.
+    #[test]
+    fn user_and_string_ids_do_not_collide() {
+        let vfs = FaultVfs::default();
+        let arc: Arc<dyn Vfs> = Arc::new(vfs.clone());
+        let path = Path::new("/collide.log");
+        let records = [rec("x", "x", "P=x", 1), rec("employee", "y", "P=employee", 2)];
+        {
+            let mut adi = PersistentAdi::open_with_vfs(Arc::clone(&arc), path).unwrap();
+            for r in &records {
+                adi.add(r.clone());
+            }
+            adi.sync().unwrap();
+        }
+        let adi = PersistentAdi::open_with_vfs(Arc::clone(&arc), path).unwrap();
+        assert_eq!(adi.snapshot(), records);
+        adi.compact().unwrap();
+        drop(adi);
+        assert_eq!(PersistentAdi::open_with_vfs(arc, path).unwrap().snapshot(), records);
+    }
+
+    /// Shards of one service are opened against one table: replay
+    /// interns every shard's journal into it, a symbol means the same
+    /// thing in each shard's index, and the symbol-plane commit hook
+    /// journals ahead of the index like the string `add` does.
+    #[test]
+    fn stores_opened_against_one_table_share_it_and_commit_sym_is_durable() {
+        let vfs = FaultVfs::default();
+        let arc: Arc<dyn Vfs> = Arc::new(vfs.clone());
+        let paths = [Path::new("/shard-0.log"), Path::new("/shard-1.log")];
+        let open_all = || {
+            let table = Arc::new(SymbolTable::new());
+            let stores: Vec<PersistentAdi> = paths
+                .iter()
+                .map(|p| {
+                    PersistentAdi::open_with_table(Arc::clone(&arc), p, Arc::clone(&table)).unwrap()
+                })
+                .collect();
+            (table, stores)
+        };
+        {
+            let (table, mut stores) = open_all();
+            stores[0].add(rec("alice", "Teller", "Branch=York, Period=2006", 1));
+            // The fast-path form of the same commit: interned by the
+            // caller, handed over as symbols.
+            let index = stores[1].sym_index().unwrap();
+            assert!(Arc::ptr_eq(index.table(), &table));
+            let sym = index.intern_record(&rec("bob", "Auditor", "Branch=York, Period=2006", 2));
+            stores[1].commit_sym(sym);
+            assert_eq!(stores[1].batched_ops(), 10, "9 defines + 1 add queued by commit_sym");
+            assert_eq!(stores[1].len(), 1);
+            for s in &stores {
+                s.sync().unwrap();
+            }
+        }
+        let (table, stores) = open_all();
+        assert_eq!(stores[0].len() + stores[1].len(), 2);
+        // One table: "York" interned once, whichever shard replayed it.
+        let york = table.lookup_ctx_pair("Branch", "York").expect("replay interned into the table");
+        for s in &stores {
+            let index = s.sym_index().unwrap();
+            assert!(Arc::ptr_eq(index.table(), &table));
+            assert_eq!(index.sym_records().next().unwrap().ctx[0].id, york);
+        }
+        assert_eq!(stores[1].snapshot()[0].user, "bob");
     }
 
     /// After a reopen the writer's dictionary restarts at id 0, so its

@@ -6,9 +6,13 @@
 //! the secure audit trails. Thus our next implementation will use a
 //! secure relational database to store the retained ADI instead"
 //! (§6). This crate is that next implementation: an embedded,
-//! crash-safe, CRC-framed operation journal ([`OpLog`]) with an
-//! in-memory index and compaction, exposed as the same
-//! [`msod::RetainedAdi`] trait the in-memory store implements.
+//! crash-safe, CRC-framed operation journal ([`OpLog`]) with
+//! compaction, laid *under* the symbolized in-memory index
+//! ([`msod::SymAdi`]) as a write-ahead layer and exposed as the same
+//! [`msod::RetainedAdi`] trait the in-memory store implements —
+//! including its symbol-plane seam, so the compiled `msod::SymEngine`
+//! decides over journaled shards exactly as it does in memory (see
+//! [`adi`]).
 //!
 //! Experiment E9 (see `crates/bench/benches/adi_backends.rs`) measures
 //! the start-up and per-decision trade-off between:

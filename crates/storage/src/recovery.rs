@@ -13,9 +13,10 @@ use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
 
+use msod::symtab::SymbolTable;
 use msod::RetainedAdi;
 
-use crate::adi::{ReplayDecoder, ReplayFrame};
+use crate::adi::IndexReplay;
 use crate::crc::crc32;
 use crate::error::StorageError;
 use crate::vfs::{StdVfs, Vfs};
@@ -141,8 +142,7 @@ pub fn verify_journal_with_vfs(
 ) -> Result<JournalVerifyReport, StorageError> {
     let data = vfs.read(path)?;
     let mut report = JournalVerifyReport { total_bytes: data.len() as u64, ..Default::default() };
-    let mut index = msod::IndexedAdi::new();
-    let mut decoder = ReplayDecoder::new();
+    let mut replay = IndexReplay::new(Arc::new(SymbolTable::new()));
     let mut intact = true;
     // Complete frames seen at or after the first CRC failure (the
     // failing frame included) — 1 means the bad frame is the final
@@ -153,20 +153,18 @@ pub fn verify_journal_with_vfs(
             frames_from_bad_crc += 1;
         }
         match outcome {
-            FrameOutcome::Intact(payload) => match decoder.decode(payload) {
-                Some(frame) if intact => {
+            // Past the first anomaly frames are still decoded (the
+            // dictionary keeps tracking) but no longer applied.
+            FrameOutcome::Intact(payload) => {
+                let decoded = if intact { replay.apply(payload) } else { replay.decodes(payload) };
+                if decoded {
                     report.frames_intact += 1;
-                    report.frames_replayable += 1;
-                    if let ReplayFrame::Op(op) = frame {
-                        op.apply(&mut index);
-                    }
-                }
-                Some(_) => report.frames_intact += 1,
-                None => {
+                    report.frames_replayable += u64::from(intact);
+                } else {
                     report.undecodable_frames += 1;
                     intact = false;
                 }
-            },
+            }
             FrameOutcome::BadCrc => {
                 if report.corruption_offset.is_none() {
                     report.corruption_offset = Some(offset);
@@ -189,7 +187,7 @@ pub fn verify_journal_with_vfs(
             report.trailing_torn_bytes = report.total_bytes - off;
         }
     }
-    report.live_records = index.len();
+    report.live_records = replay.index.len();
     Ok(report)
 }
 

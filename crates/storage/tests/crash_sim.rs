@@ -18,7 +18,12 @@
 //!    checks live): no user ever holds `m` conflicting roles, or `m`
 //!    conflicting privileges, within one bound business context.
 //!
-//! The five scenarios together run 1300 cycles by default (>= the 1000
+//! Two further scenarios cover the symbol plane's commit path: history
+//! committed by `SymEngine` through the journal-first `commit_sym` hook
+//! and cut while frames are still batched, and string-era (v1) journals
+//! reopened into the symbol index and compacted.
+//!
+//! The seven scenarios together run 1700 cycles by default (>= the 1000
 //! the acceptance bar asks for). Reproduce a failure with
 //! `CRASH_SIM_SEED=<seed printed on failure>`; scale the cycle count
 //! with `CRASH_SIM_SCALE=<float>`.
@@ -28,13 +33,14 @@ use std::path::Path;
 use std::sync::Arc;
 
 use context::ContextName;
+use msod::symtab::SymbolTable;
 use msod::{
-    AdiRecord, MemoryAdi, Mmep, Mmer, MsodEngine, MsodPolicy, MsodPolicySet, MsodRequest,
-    Privilege, RetainedAdi, RoleRef,
+    AdiRecord, EngineOptions, MatchedBuf, MemoryAdi, Mmep, Mmer, MsodEngine, MsodPolicy,
+    MsodPolicySet, MsodRequest, Privilege, ReqBufs, RetainedAdi, RoleRef, ShardedAdi, SymEngine,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use storage::{verify_journal_with_vfs, FaultPlan, FaultVfs, PersistentAdi, Vfs};
+use storage::{verify_journal_with_vfs, AdiOp, FaultPlan, FaultVfs, OpLog, PersistentAdi, Vfs};
 
 const JOURNAL: &str = "/adi.log";
 
@@ -309,9 +315,12 @@ fn engine() -> MsodEngine {
     MsodEngine::new(MsodPolicySet::new(vec![policy]))
 }
 
-/// Issue one random request through the engine. Returns whether it was
-/// granted.
-fn engine_request(rng: &mut StdRng, eng: &MsodEngine, adi: &mut dyn RetainedAdi, ts: u64) -> bool {
+/// Draw one random request and hand it to `decide`.
+fn with_random_request<R>(
+    rng: &mut StdRng,
+    ts: u64,
+    decide: impl FnOnce(&MsodRequest<'_>) -> R,
+) -> R {
     let user = format!("u{}", rng.random_range(0..4u8));
     let (role, operation) = match rng.random_range(0..3u8) {
         0 => (INITIATOR, "initiate"),
@@ -320,15 +329,20 @@ fn engine_request(rng: &mut StdRng, eng: &MsodEngine, adi: &mut dyn RetainedAdi,
     };
     let roles = [RoleRef::new("employee", role)];
     let context = format!("Proc={}", rng.random_range(0..3u8)).parse().unwrap();
-    let req = MsodRequest {
+    decide(&MsodRequest {
         user: &user,
         roles: &roles,
         operation,
         target: "deal",
         context: &context,
         timestamp: ts,
-    };
-    eng.enforce(adi, &req).is_granted()
+    })
+}
+
+/// Issue one random request through the engine. Returns whether it was
+/// granted.
+fn engine_request(rng: &mut StdRng, eng: &MsodEngine, adi: &mut dyn RetainedAdi, ts: u64) -> bool {
+    with_random_request(rng, ts, |req| eng.enforce(adi, req).is_granted())
 }
 
 /// The MMER/MMEP invariant over a retained-ADI snapshot: per user and
@@ -404,6 +418,127 @@ fn engine_crash_cycle(seed: u64) {
     assert_msod_invariants(seed, &recovered.snapshot());
 }
 
+/// Cycles of scenario 5 that reached the power cut with frames still
+/// batched in memory — the case the scenario exists for.
+static CUT_WITH_BATCHED_FRAMES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+/// Scenario 5: history committed on the symbol plane. The compiled
+/// `SymEngine` decides over the journaled shard and commits each grant
+/// through `commit_sym` — frame queued, then index — so between syncs
+/// the newest records exist only in the in-memory batch (and, past
+/// `BATCH_FRAMES`, in unsynced file bytes). Power is cut there. The
+/// recovered store must be a prefix of the decision history that keeps
+/// every synced decision, satisfy MMER/MMEP, and `is_clean()` must
+/// tell the truth: clean exactly when an offline scan of the surviving
+/// bytes finds nothing to truncate.
+fn sym_commit_crash_cycle(seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let vfs = FaultVfs::default();
+    let arc: Arc<dyn Vfs> = Arc::new(vfs.clone());
+    let path = Path::new(JOURNAL);
+    let string_engine = engine();
+    let table = Arc::new(SymbolTable::new());
+    let sym = SymEngine::compile(string_engine.policies(), &EngineOptions::default(), &table)
+        .expect("the deal policy compiles to the fast path");
+    let store = PersistentAdi::open_with_table(Arc::clone(&arc), path, Arc::clone(&table)).unwrap();
+    let adi = ShardedAdi::from_shards(vec![store]);
+    let (mut bufs, mut matched) = (ReqBufs::new(), MatchedBuf::new());
+
+    let mut states = vec![adi.snapshot()];
+    let mut committed = 0usize;
+    for i in 0..rng.random_range(1..=150u64) {
+        with_random_request(&mut rng, i, |req| {
+            sym.enforce_or_fallback(&string_engine, &table, &adi, req, &mut bufs, &mut matched)
+        });
+        states.push(adi.snapshot());
+        if rng.random_range(0..6u8) == 0 {
+            adi.with_shard(0, |s| s.sync()).unwrap();
+            committed = states.len() - 1;
+        }
+    }
+    if adi.with_shard(0, |s| s.batched_ops()) > 0 {
+        CUT_WITH_BATCHED_FRAMES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    }
+
+    // Power cut: no drop flush, the batch dies with the process.
+    std::mem::forget(adi);
+    vfs.power_cut(seed ^ 0x0BAD_5EED);
+    let survived_clean = verify_journal_with_vfs(&vfs, path).unwrap().is_clean();
+
+    let recovered = PersistentAdi::open_with_vfs(arc, path).unwrap();
+    let snapshot = recovered.snapshot();
+    assert_prefix(seed, &states, committed, &snapshot);
+    assert_msod_invariants(seed, &snapshot);
+    assert_eq!(
+        recovered.recovery().is_clean(),
+        survived_clean,
+        "seed {seed}: is_clean() disagrees with the bytes that survived ({})",
+        recovered.recovery(),
+    );
+    assert_verify_clean(seed, &vfs);
+}
+
+/// Scenario 6: a string-era (v1) journal — every add spelled out, as a
+/// pre-symbol-plane writer left it — reopened into the symbol index.
+/// Replay must intern it to exactly the state the ops describe; new
+/// symbol-era writes land behind the v1 prefix; and a compaction
+/// (rewriting everything from interned records, v2 only) followed by a
+/// reopen must give back the same snapshot, record for record.
+fn v1_reopen_compaction_cycle(seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let vfs = FaultVfs::default();
+    let arc: Arc<dyn Vfs> = Arc::new(vfs.clone());
+    let path = Path::new(JOURNAL);
+
+    let mut oracle = MemoryAdi::new();
+    {
+        let (mut log, _) = OpLog::open_with_vfs(Arc::clone(&arc), path, |_| true).unwrap();
+        for i in 0..rng.random_range(1..=80u64) {
+            let op = match rng.random_range(0..10u8) {
+                0..=6 => AdiOp::Add(rec(&mut rng, i)),
+                7 => AdiOp::Purge(purge_bound(rng.random_range(0..3u8))),
+                8 => AdiOp::PurgeOlderThan(rng.random_range(0..60u64)),
+                _ => AdiOp::Clear,
+            };
+            log.append(&op.encode()).unwrap();
+            op.apply(&mut oracle);
+        }
+        log.sync().unwrap();
+    }
+
+    let mut adi = PersistentAdi::open_with_vfs(Arc::clone(&arc), path).unwrap();
+    assert!(adi.recovery().is_clean(), "seed {seed}: {}", adi.recovery());
+    assert_eq!(adi.snapshot(), oracle.snapshot(), "seed {seed}: v1 replay into the symbol index");
+    for i in 100..100 + rng.random_range(0..20u64) {
+        let r = rec(&mut rng, i);
+        oracle.add(r.clone());
+        adi.add(r);
+    }
+    adi.compact().unwrap();
+    adi.sync().unwrap();
+    assert_eq!(adi.snapshot(), oracle.snapshot(), "seed {seed}: compaction changed the index");
+    drop(adi);
+
+    // The rewritten file holds symbol-era frames only.
+    let frames = storage::tail_journal_with_vfs(&arc, path, 0).unwrap();
+    assert_eq!(
+        frames.iter().filter(|f| matches!(f, storage::ReplayFrame::Op(AdiOp::Add(_)))).count(),
+        oracle.len(),
+        "seed {seed}: one add frame per live record"
+    );
+    let raw = vfs.read(path).unwrap();
+    let mut offset = 0usize;
+    while offset < raw.len() {
+        let len = u32::from_le_bytes(raw[offset..offset + 4].try_into().unwrap()) as usize;
+        assert!(matches!(raw[offset + 4], 4 | 5), "seed {seed}: v1 frame survived compaction");
+        offset += 4 + len + 4;
+    }
+    let reopened = PersistentAdi::open_with_vfs(arc, path).unwrap();
+    assert!(reopened.recovery().is_clean(), "seed {seed}: {}", reopened.recovery());
+    assert_eq!(reopened.snapshot(), oracle.snapshot(), "seed {seed}: v2 rewrite round trip");
+    assert_verify_clean(seed, &vfs);
+}
+
 fn run(label: &str, cycles: u64, offset: u64, cycle: fn(u64)) {
     let base = base_seed();
     let n = scaled(cycles);
@@ -436,6 +571,20 @@ fn transient_compaction_failure_leaves_no_holes() {
 #[test]
 fn msod_invariants_hold_against_recovered_stores() {
     run("engine-crash", 300, 3_000_000, engine_crash_cycle);
+}
+
+#[test]
+fn batched_sym_commits_recover_a_truthful_prefix() {
+    run("sym-commit-crash", 300, 5_000_000, sym_commit_crash_cycle);
+    assert!(
+        CUT_WITH_BATCHED_FRAMES.load(std::sync::atomic::Ordering::Relaxed) > 0,
+        "no cycle cut power with frames still batched"
+    );
+}
+
+#[test]
+fn v1_journal_survives_reopen_into_the_symbol_index_and_compaction() {
+    run("v1-reopen-compaction", 100, 6_000_000, v1_reopen_compaction_cycle);
 }
 
 /// Oracle sanity check: with no faults armed, a full cycle round-trips

@@ -254,6 +254,13 @@ impl SymbolTable {
         (self.strings.resolve(t), self.strings.resolve(v))
     }
 
+    /// The raw `(type, value)` string symbols a role pair was built
+    /// from. Allocation-free.
+    pub fn role_syms(&self, id: RoleId) -> (Sym, Sym) {
+        let (t, v) = self.roles.resolve(id.0);
+        (Sym(t), Sym(v))
+    }
+
     // --- privileges -----------------------------------------------------
 
     /// Intern a privilege `(operation, target)` pair.
@@ -274,6 +281,13 @@ impl SymbolTable {
     pub fn resolve_priv(&self, id: PrivId) -> (Arc<str>, Arc<str>) {
         let (o, t) = self.privs.resolve(id.0);
         (self.strings.resolve(o), self.strings.resolve(t))
+    }
+
+    /// The raw `(operation, target)` string symbols a privilege pair
+    /// was built from. Allocation-free.
+    pub fn priv_syms(&self, id: PrivId) -> (Sym, Sym) {
+        let (o, t) = self.privs.resolve(id.0);
+        (Sym(o), Sym(t))
     }
 
     // --- context pairs --------------------------------------------------
@@ -302,6 +316,13 @@ impl SymbolTable {
     /// match on.
     pub fn ctx_type_of(&self, id: CtxId) -> Sym {
         Sym(self.ctx_pairs.resolve(id.0).0)
+    }
+
+    /// The raw `(type, value)` string symbols a context component was
+    /// built from. Allocation-free.
+    pub fn ctx_syms(&self, id: CtxId) -> (Sym, Sym) {
+        let (t, v) = self.ctx_pairs.resolve(id.0);
+        (Sym(t), Sym(v))
     }
 
     /// Distinct strings / users / roles / privileges / context pairs
@@ -380,6 +401,10 @@ mod tests {
         assert_eq!((&*ty, &*v), ("employee", "Teller"));
         let (op, tgt) = t.resolve_priv(p);
         assert_eq!((&*op, &*tgt), ("employee", "Teller"));
+        // The pair accessors hand back the shared string symbols.
+        let parts = (t.intern_str("employee"), t.intern_str("Teller"));
+        assert_eq!(t.role_syms(r), parts);
+        assert_eq!(t.priv_syms(p), parts);
     }
 
     #[test]
@@ -398,6 +423,7 @@ mod tests {
         let t = SymbolTable::new();
         let c = t.intern_ctx_pair("Branch", "York");
         assert_eq!(t.ctx_type_of(c), t.intern_str("Branch"));
+        assert_eq!(t.ctx_syms(c), (t.intern_str("Branch"), t.intern_str("York")));
         let c2 = t.intern_ctx_pair("Branch", "Leeds");
         assert_eq!(t.ctx_type_of(c2), t.ctx_type_of(c));
     }

@@ -288,6 +288,82 @@ fn symbolized_service_exports_interner_gauges() {
     );
 }
 
+/// Observability parity on the durable service: `open_persistent` runs
+/// the symbol plane, so it exports the interner gauges, counts
+/// last-step fallbacks (and nothing else) in
+/// `permis_sym_fallback_total`, records black-box entries by interned
+/// user symbol instead of a cloned subject, and explains decisions as
+/// the `sym` engine.
+#[test]
+fn durable_service_runs_and_reports_the_symbol_plane() {
+    let dir = std::env::temp_dir().join(format!("obs-durable-sym-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // POLICY plus a last step on the Branch policy, so one decide
+    // leaves the fast path.
+    let xml = POLICY
+        .replace(
+            "<TargetAccess operation=\"audit\"",
+            "<TargetAccess operation=\"closeBranch\" targetURI=\"books\">\
+             <AllowedRole value=\"Auditor\"/></TargetAccess>\n    \
+             <TargetAccess operation=\"audit\"",
+        )
+        .replace(
+            "<MSoDPolicy BusinessContext=\"Branch=!\">",
+            "<MSoDPolicy BusinessContext=\"Branch=!\">\n      \
+             <LastStep operation=\"closeBranch\" targetURI=\"books\"/>",
+        );
+    let policy = msod_rbac::policy::parse_rbac_policy(&xml).unwrap();
+    let (svc, _) =
+        DecisionService::open_persistent(policy, b"obs-test-key".to_vec(), &dir, 4).unwrap();
+    assert!(svc.core().sym_engine().is_some());
+    assert!(!svc.sym_table_mismatch());
+    assert!(format!("{svc:?}").contains("engine: \"sym\""), "{svc:?}");
+
+    let (outcome, ex) =
+        svc.decide_explained(&request("erin", "Teller", "handleCash", "till", "Branch=Hull", 1));
+    assert!(outcome.is_granted());
+    provoke_all_violations(&svc);
+    // Enough plain grants that the phase sampler records black-box
+    // entries; none of them is a last step.
+    for i in 0..32u64 {
+        let user = format!("user{i}");
+        assert!(svc
+            .decide(&request(&user, "Teller", "handleCash", "till", "Branch=Leeds", 10 + i))
+            .is_granted());
+    }
+    let before_last_step = svc.metrics_text();
+    // The last step terminates Branch=York through the string engine.
+    let retained = svc.adi().len();
+    assert!(svc
+        .decide(&request("zed", "Auditor", "closeBranch", "books", "Branch=York", 50))
+        .is_granted());
+    assert_eq!(svc.adi().len(), retained - 1, "alice's Branch=York record is purged");
+    svc.sync_adi().unwrap();
+    let text = svc.metrics_text();
+    if !msod_rbac::obs::enabled() {
+        assert!(ex.msod.is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+        return;
+    }
+    assert_eq!(ex.engine, "sym");
+    assert!(ex.msod.is_some());
+    for kind in ["strings", "users", "roles", "privs", "ctx_pairs"] {
+        let needle = format!("symtab_interned{{kind=\"{kind}\"}}");
+        assert!(text.contains(&needle), "{needle} missing from:\n{text}");
+    }
+    assert!(gauge_sum(&text, "symtab_interned{kind=\"users\"}") >= 36);
+    assert_eq!(gauge_sum(&before_last_step, "permis_sym_fallback_total"), 0);
+    assert_eq!(gauge_sum(&text, "permis_sym_fallback_total"), 1);
+    assert_eq!(gauge_sum(&text, "permis_sym_table_mismatch"), 0);
+    let entries = svc.metrics().flight().entries();
+    assert!(!entries.is_empty());
+    for e in &entries {
+        assert_ne!(e.user_sym, u32::MAX, "durable flight entries carry the interned user");
+        assert!(e.user.is_empty(), "no cloned subject on a symbolized service");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Explanation capture: `decide_explained` always explains, the opt-in
 /// flag routes normal `decide` calls into the retained ring, and the
 /// `inspect` management port is authorized like the other ports.

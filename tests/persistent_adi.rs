@@ -84,3 +84,219 @@ fn restart_without_trail_replay() {
     assert!(act(&mut pdp, "bob", "B", 101));
     let _ = std::fs::remove_file(&path);
 }
+
+/// Differential test through the real constructors: the durable
+/// service (`open_persistent`) and the in-memory symbolized service
+/// (`new_symbolized`) are one pipeline with and without a journal under
+/// it, so the same stream must produce *equal* `DecisionOutcome`s —
+/// verdict, matched policies, records added/purged and
+/// `records_consulted` — and equal retained ADI, across first steps,
+/// conflicts at another branch, last steps, a management purge and a
+/// drop/reopen of the durable side mid-stream.
+mod open_persistent_vs_new_symbolized {
+    use std::fmt::Write as _;
+
+    use msod::RoleRef;
+    use permis::{
+        purge_scope, Credentials, DecisionOutcome, DecisionRequest, DecisionService, DenyReason,
+        ManagementOp, RETAINED_ADI_CONTROLLER,
+    };
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use storage::PersistentAdi;
+
+    const TEMPLATES: usize = 2;
+    const SHARDS: usize = 4;
+    const OPS: u64 = 2400;
+
+    /// Two MMER policies sharing the `Branch=*, Period=!` scope (so the
+    /// engine's shared-scope probe dedupe is on the path) plus an MMEP
+    /// `Refund=!` policy with a duplicated entry; every policy has a
+    /// last step.
+    fn policy_xml() -> String {
+        let mut xml = String::from(
+            "<RBACPolicy id=\"diff\" roleType=\"employee\">\n\
+             <SOAPolicy><SOA dn=\"cn=HR\"/></SOAPolicy>\n<TargetAccessPolicy>\n",
+        );
+        let mut access = |op: &str, target: &str, role: &str| {
+            let _ = writeln!(
+                xml,
+                "<TargetAccess operation=\"{op}\" targetURI=\"{target}\">\
+                 <AllowedRole value=\"{role}\"/></TargetAccess>"
+            );
+        };
+        for k in 0..TEMPLATES {
+            access(&format!("handleCash_{k}"), &format!("till_{k}"), &format!("Teller_{k}"));
+            access(&format!("audit_{k}"), &format!("books_{k}"), &format!("Auditor_{k}"));
+            access(&format!("commitAudit_{k}"), &format!("audit_{k}"), &format!("Auditor_{k}"));
+        }
+        access("prepareRefund", "refund", "Clerk");
+        access("approveRefund", "refund", "Manager");
+        access("issueRefund", "refund", "Clerk");
+        access("confirmRefund", "refund", "Manager");
+        access("viewReport", "reports", "Staff");
+        access("*", "pdp:retainedADI", RETAINED_ADI_CONTROLLER);
+        xml.push_str("</TargetAccessPolicy>\n<MSoDPolicySet>\n");
+        for k in 0..TEMPLATES {
+            let _ = writeln!(
+                xml,
+                "<MSoDPolicy BusinessContext=\"Branch=*, Period=!\">\
+                 <LastStep operation=\"commitAudit_{k}\" targetURI=\"audit_{k}\"/>\
+                 <MMER ForbiddenCardinality=\"2\">\
+                 <Role type=\"employee\" value=\"Teller_{k}\"/>\
+                 <Role type=\"employee\" value=\"Auditor_{k}\"/></MMER></MSoDPolicy>"
+            );
+        }
+        xml.push_str(
+            "<MSoDPolicy BusinessContext=\"Refund=!\">\
+             <LastStep operation=\"confirmRefund\" targetURI=\"refund\"/>\
+             <MMEP ForbiddenCardinality=\"2\">\
+             <Privilege operation=\"prepareRefund\" target=\"refund\"/>\
+             <Privilege operation=\"approveRefund\" target=\"refund\"/>\
+             <Privilege operation=\"approveRefund\" target=\"refund\"/>\
+             <Privilege operation=\"issueRefund\" target=\"refund\"/></MMEP></MSoDPolicy>\n\
+             </MSoDPolicySet>\n</RBACPolicy>",
+        );
+        xml
+    }
+
+    fn request(
+        user: u64,
+        role: &str,
+        op: &str,
+        target: &str,
+        ctx: &str,
+        ts: u64,
+    ) -> DecisionRequest {
+        DecisionRequest::with_roles(
+            format!("user{user}"),
+            vec![RoleRef::new("employee", role)],
+            op,
+            target,
+            ctx.parse().unwrap(),
+            ts,
+        )
+    }
+
+    /// One seeded operation. Periods come from a window that slides
+    /// with `ts`, so contexts are started (first steps), revisited from
+    /// other branches by a small user pool (conflicts), and terminated
+    /// (last steps); refunds do the same for the MMEP policy.
+    fn draw(rng: &mut StdRng, ts: u64) -> DecisionRequest {
+        let user = rng.random_range(0..12u64);
+        let k = rng.random_range(0..TEMPLATES as u64);
+        let period = format!(
+            "Branch=b{}, Period=q{}",
+            rng.random_range(0..5u64),
+            ts / 200 + rng.random_range(0..3u64)
+        );
+        let refund = format!("Refund=r{}", ts / 150 + rng.random_range(0..4u64));
+        match rng.random_range(0..100u64) {
+            0..=39 => request(
+                user,
+                &format!("Teller_{k}"),
+                &format!("handleCash_{k}"),
+                &format!("till_{k}"),
+                &period,
+                ts,
+            ),
+            40..=64 => request(
+                user,
+                &format!("Auditor_{k}"),
+                &format!("audit_{k}"),
+                &format!("books_{k}"),
+                &period,
+                ts,
+            ),
+            65..=68 => request(
+                user,
+                &format!("Auditor_{k}"),
+                &format!("commitAudit_{k}"),
+                &format!("audit_{k}"),
+                &period,
+                ts,
+            ),
+            69..=76 => request(user, "Clerk", "prepareRefund", "refund", &refund, ts),
+            77..=86 => request(user, "Manager", "approveRefund", "refund", &refund, ts),
+            87..=91 => request(user, "Clerk", "issueRefund", "refund", &refund, ts),
+            92..=94 => request(user, "Manager", "confirmRefund", "refund", &refund, ts),
+            _ => request(user, "Staff", "viewReport", "reports", "Dept=d1", ts),
+        }
+    }
+
+    fn open(dir: &std::path::Path) -> DecisionService<PersistentAdi> {
+        let policy = policy::parse_rbac_policy(&policy_xml()).unwrap();
+        let (svc, reports) =
+            DecisionService::open_persistent(policy, b"k".to_vec(), dir, SHARDS).unwrap();
+        assert!(reports.iter().all(|r| r.is_clean()), "{reports:?}");
+        assert!(svc.core().sym_engine().is_some(), "the durable service runs the symbol engine");
+        svc
+    }
+
+    #[test]
+    fn same_outcomes_and_state_through_purges_and_a_restart() {
+        let dir = std::env::temp_dir().join(format!("msod-padi-diff-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mem = DecisionService::symbolized_with_shard_count(
+            policy::parse_rbac_policy(&policy_xml()).unwrap(),
+            b"k".to_vec(),
+            SHARDS,
+        );
+        let mut durable = open(&dir);
+        let controller =
+            || Credentials::Validated(vec![RoleRef::new("employee", RETAINED_ADI_CONTROLLER)]);
+
+        let mut rng = StdRng::seed_from_u64(0x5EED_D1FF);
+        let (mut first_steps, mut msod_denies, mut terminations, mut restarts) = (0, 0, 0, 0);
+        for ts in 1..=OPS {
+            let req = draw(&mut rng, ts);
+            let want = mem.decide(&req);
+            let got = durable.decide(&req);
+            assert_eq!(got, want, "op {ts}: {req:?}");
+            match &want {
+                DecisionOutcome::Grant { msod: Some(d), .. } => {
+                    first_steps += usize::from(d.records_added == 1 && d.records_consulted == 0);
+                    terminations += d.terminated.len();
+                }
+                DecisionOutcome::Deny { reason: DenyReason::Msod(_), .. } => msod_denies += 1,
+                _ => {}
+            }
+            // Phases: a management purge of one live period across all
+            // branches, a drop/reopen of the durable side, and a
+            // checkpoint every 300 ops.
+            if ts == 900 {
+                let scope = format!("Branch=*, Period=q{}", ts / 200);
+                let purge = || ManagementOp::PurgeContext(purge_scope(&scope).unwrap());
+                let want = mem.manage("cn=admin", controller(), purge(), ts).unwrap();
+                let got = durable.manage("cn=admin", controller(), purge(), ts).unwrap();
+                assert!(want > 0, "the purged period must be live");
+                assert_eq!(got, want);
+            }
+            if ts == 1500 {
+                durable.sync_adi().unwrap();
+                drop(durable);
+                durable = open(&dir);
+                restarts += 1;
+            }
+            if ts % 300 == 0 {
+                assert_eq!(durable.adi().snapshot(), mem.adi().snapshot(), "after op {ts}");
+            }
+        }
+        assert_eq!(durable.adi().snapshot(), mem.adi().snapshot());
+        assert!(!mem.adi().is_empty());
+        // The stream exercised what it claims to.
+        assert!(first_steps > 50, "{first_steps} first steps");
+        assert!(msod_denies > 100, "{msod_denies} MSoD denies");
+        assert!(terminations > 20, "{terminations} terminated contexts");
+        assert_eq!(restarts, 1);
+        if obs::enabled() {
+            // Last steps (and only they) leave the fast path, on both
+            // sides; the durable counter restarted with its service.
+            let in_memory = mem.metrics().sym_fallbacks.get();
+            let since_reopen = durable.metrics().sym_fallbacks.get();
+            assert!(0 < since_reopen && since_reopen < in_memory, "{since_reopen} / {in_memory}");
+        }
+        drop(durable);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
