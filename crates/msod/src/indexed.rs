@@ -15,7 +15,8 @@
 //! - per-user queries keep the user index, additionally filtered by a
 //!   per-record context check (user histories are small by design).
 //!
-//! The `adi_backends` bench compares the two stores; behavioural
+//! The E8/E8b tables of `examples/experiments.rs` compare the two
+//! stores; behavioural
 //! equivalence is property-tested below.
 
 use std::collections::HashMap;

@@ -20,8 +20,8 @@
 //!   request needing them.
 //!
 //! [`loadgen`] adds a fully deterministic load generator (seeded
-//! splitmix64 + Zipf, closed and open loops) so throughput numbers in
-//! `BENCH_net.json` are reproducible.
+//! splitmix64 + Zipf, closed and open loops) so every wire load run is
+//! reproducible from its seed.
 //!
 //! The wire path is **conformance-tested, not trusted**: it runs as a
 //! variant inside `modelcheck`'s differential harness against the

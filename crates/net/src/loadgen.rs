@@ -335,8 +335,8 @@ pub fn run_open(addr: &str, cfg: &LoadgenConfig) -> Result<LoopReport, crate::Ne
 }
 
 /// Spin an in-process server on an ephemeral loopback port, run both
-/// loops, and shut it down. The one-stop entry for benches, CI smoke
-/// and `msod-cli loadgen --local`.
+/// loops, and shut it down. The one-stop entry for CI smoke and
+/// `msod-cli loadgen --local`.
 pub fn run_local(cfg: &LoadgenConfig) -> Result<(LoopReport, Option<LoopReport>), crate::NetError> {
     let svc = Arc::new(
         DecisionService::from_xml_symbolized(BUILTIN_POLICY, b"loadgen".to_vec())

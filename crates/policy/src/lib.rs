@@ -12,7 +12,7 @@
 //!   target-access rules, embedded MSoD sub-policy) compiled to the
 //!   [`PdpPolicy`] the PERMIS PDP evaluates;
 //! - [`msod_xml::PAPER_SECTION3_POLICIES`] — the paper's two §3 policies
-//!   verbatim, used by tests and benches.
+//!   verbatim, used by tests.
 //!
 //! ```
 //! use policy::{parse_msod_policy_set, msod_xml::PAPER_SECTION3_POLICIES};

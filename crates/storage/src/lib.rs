@@ -14,8 +14,9 @@
 //! decides over journaled shards exactly as it does in memory (see
 //! [`adi`]).
 //!
-//! Experiment E9 (see `crates/bench/benches/adi_backends.rs`) measures
-//! the start-up and per-decision trade-off between:
+//! Experiment E9 (the E9 table of `examples/experiments.rs` and the
+//! `workflow_durable` workload of `benchmark/`) measures the start-up
+//! and per-decision trade-off between:
 //!
 //! - the paper's shipped design: in-memory ADI + full audit-trail
 //!   replay at start-up, and

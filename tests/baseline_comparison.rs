@@ -35,7 +35,7 @@ fn both_enforce_the_workflow_example() {
     }
     let mut assignment = Assignment::new();
 
-    let script: [(&str, &str, bool); 7] = [
+    let script: [(&str, &str, bool); 8] = [
         ("T1", "carol", true),
         ("T2", "mike", true),
         ("T2", "mike", false), // same manager twice
@@ -43,6 +43,7 @@ fn both_enforce_the_workflow_example() {
         ("T3", "mike", false), // approver collects
         ("T3", "max", true),
         ("T4", "carol", false), // preparer confirms
+        ("T4", "chris", true),
     ];
     for (ts, (task, user, expect)) in script.iter().enumerate() {
         let msod_says = run.attempt(&mut pdp, task, user, ts as u64).is_granted();

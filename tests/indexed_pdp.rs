@@ -4,7 +4,7 @@
 //! snapshots, and identical recovery behaviour.
 
 use msod::{IndexedAdi, RetainedAdi};
-use permis::Pdp;
+use permis::{DecisionService, Pdp};
 use workflow::scenarios::{gen_requests, workload_policy_xml, WorkloadConfig};
 
 #[test]
@@ -20,15 +20,25 @@ fn indexed_pdp_matches_memory_pdp_on_workload() {
     let parsed = policy::parse_rbac_policy(&xml).unwrap();
 
     let mut mem_pdp = Pdp::from_xml(&xml, b"k".to_vec()).unwrap();
-    let mut idx_pdp = Pdp::with_adi(parsed, b"k".to_vec(), IndexedAdi::new());
+    let mut idx_pdp = Pdp::with_adi(parsed.clone(), b"k".to_vec(), IndexedAdi::new());
+    // The symbolized service must compile this workload onto the symbol
+    // plane and agree with both stores, denies included.
+    let sym_svc = DecisionService::new_symbolized(parsed, b"k".to_vec());
+    assert!(sym_svc.core().sym_engine().is_some(), "workload policy must compile");
 
+    let mut denied = 0;
     for (i, req) in gen_requests(&cfg, 31).iter().enumerate() {
         let a = mem_pdp.decide(req);
         let b = idx_pdp.decide(req);
+        let c = sym_svc.decide(req);
         assert_eq!(a.is_granted(), b.is_granted(), "divergence at request {i}: {a:?} vs {b:?}");
+        assert_eq!(a.is_granted(), c.is_granted(), "divergence at request {i}: {a:?} vs {c:?}");
+        denied += usize::from(!a.is_granted());
     }
+    assert!(denied > 0, "the workload must exercise the deny path");
     assert_eq!(mem_pdp.adi().snapshot(), idx_pdp.adi().snapshot());
     assert_eq!(mem_pdp.adi().len(), idx_pdp.adi().len());
+    assert_eq!(mem_pdp.adi().len(), sym_svc.adi().len());
 }
 
 #[test]
