@@ -4,27 +4,26 @@
 //!
 //! Variants:
 //!
-//! 1. `monolith` — the classic [`Pdp`] over [`MemoryAdi`];
-//! 2. `service` — the lock-free [`DecisionService`] over sharded
-//!    [`MemoryAdi`];
-//! 3. `indexed` — [`DecisionService`] over sharded [`IndexedAdi`];
-//! 4. `persistent` — [`DecisionService`] over journaled
+//! 1. `service` — [`DecisionService`] over sharded [`MemoryAdi`], the
+//!    reference store, so the string engine (the symbol plane's
+//!    fallback) is swept on every operation;
+//! 2. `persistent` — [`DecisionService`] over journaled
 //!    [`storage::PersistentAdi`] shards on a [`FaultVfs`] RAM disk, all
 //!    opened against one symbol table exactly as
 //!    [`DecisionService::open_persistent`] does, so decides run the
 //!    compiled symbol engine and commit through the journal-first
 //!    `commit_sym` path (asserted at construction — a fallback to the
 //!    string engine would sweep the wrong code);
-//! 5. `crash` — like `persistent`, but powers off mid-sequence
+//! 3. `crash` — like `persistent`, but powers off mid-sequence
 //!    ([`FaultVfs::power_cut`]) after a sync and reopens through the
 //!    recovery path (fresh shared table, journal replay interning into
 //!    it) before continuing; on alternating power cuts the surviving
 //!    journals are first rewritten with string-era (v1) frames, so
 //!    every sweep also covers crash-reopen of a journal written before
 //!    the symbol-frame format existed into the symbol index;
-//! 6. `symbolized` — [`DecisionService`] over sharded [`SymAdi`],
+//! 4. `symbolized` — [`DecisionService`] over sharded [`SymAdi`],
 //!    the interned fast path ([`permis::DecisionService::new_symbolized`]);
-//! 7. `wire` — a symbolized service behind a real loopback
+//! 5. `wire` — a symbolized service behind a real loopback
 //!    [`net::NetServer`], driven through [`net::NetClient`]: every
 //!    decide crosses the binary wire protocol, purges go through the
 //!    §4.3 management port as authorized wire requests, and snapshots
@@ -46,9 +45,9 @@ use std::sync::Arc;
 
 use context::ContextName;
 use msod::symtab::SymbolTable;
-use msod::{AdiRecord, IndexedAdi, MemoryAdi, RetainedAdi, SymAdi};
+use msod::{AdiRecord, MemoryAdi, RetainedAdi, SymAdi};
 use net::{NetClient, NetConfig, NetServer, WireVerdict};
-use permis::{DecisionOutcome, DecisionRequest, DecisionService, DenyReason, Pdp};
+use permis::{DecisionOutcome, DecisionRequest, DecisionService, DenyReason};
 use policy::{PdpPolicy, TargetRule};
 use storage::{AdiOp, FaultVfs, OpLog, PersistentAdi, Vfs};
 
@@ -224,9 +223,7 @@ fn downgrade_shards_to_v1(vfs: &FaultVfs, shards: usize) {
 
 /// One engine variant under test.
 enum Variant {
-    Monolith(Box<Pdp<MemoryAdi>>),
     Service(DecisionService<MemoryAdi>),
-    Indexed(DecisionService<IndexedAdi>),
     Persistent { svc: DecisionService<PersistentAdi>, _vfs: FaultVfs },
     Crash { svc: Option<DecisionService<PersistentAdi>>, vfs: FaultVfs, shards: usize },
     Symbolized(DecisionService<SymAdi>),
@@ -239,9 +236,7 @@ enum Variant {
 impl Variant {
     fn name(&self) -> &'static str {
         match self {
-            Variant::Monolith(_) => "monolith",
             Variant::Service(_) => "service",
-            Variant::Indexed(_) => "indexed",
             Variant::Persistent { .. } => "persistent",
             Variant::Crash { .. } => "crash",
             Variant::Symbolized(_) => "symbolized",
@@ -251,9 +246,7 @@ impl Variant {
 
     fn decide(&mut self, req: &DecisionRequest) -> DecisionOutcome {
         match self {
-            Variant::Monolith(pdp) => pdp.decide(req),
             Variant::Service(svc) => svc.decide(req),
-            Variant::Indexed(svc) => svc.decide(req),
             Variant::Persistent { svc, .. } => svc.decide(req),
             Variant::Crash { svc, .. } => svc.as_ref().expect("service is open").decide(req),
             Variant::Symbolized(svc) => svc.decide(req),
@@ -270,8 +263,8 @@ impl Variant {
     /// capture path) — the production explanation sources. The wire variant's verdict
     /// arrives already projected (responses carry the semantic core,
     /// not the full outcome); it returns no explanation, so only the
-    /// verdict and state checks apply to it. Other variants decide
-    /// plainly and return no explanation.
+    /// verdict and state checks apply to it. The `crash` variant
+    /// decides plainly and returns no explanation.
     fn decide_verdict(
         &mut self,
         req: &DecisionRequest,
@@ -304,9 +297,7 @@ impl Variant {
         let bound = context::BoundContext::from_name(scope.clone())
             .expect("management scope carries no '!'");
         match self {
-            Variant::Monolith(pdp) => pdp.adi_backend_mut().purge(&bound),
             Variant::Service(svc) => svc.adi().purge(&bound),
-            Variant::Indexed(svc) => svc.adi().purge(&bound),
             Variant::Persistent { svc, .. } => svc.adi().purge(&bound),
             Variant::Crash { svc, .. } => svc.as_ref().expect("open").adi().purge(&bound),
             Variant::Symbolized(svc) => svc.adi().purge(&bound),
@@ -319,9 +310,7 @@ impl Variant {
 
     fn purge_older_than(&mut self, cutoff: u64) -> usize {
         match self {
-            Variant::Monolith(pdp) => pdp.adi_backend_mut().purge_older_than(cutoff),
             Variant::Service(svc) => svc.adi().purge_older_than(cutoff),
-            Variant::Indexed(svc) => svc.adi().purge_older_than(cutoff),
             Variant::Persistent { svc, .. } => svc.adi().purge_older_than(cutoff),
             Variant::Crash { svc, .. } => {
                 svc.as_ref().expect("open").adi().purge_older_than(cutoff)
@@ -343,14 +332,7 @@ impl Variant {
             })
         }
         match self {
-            Variant::Monolith(pdp) => {
-                let adi = pdp.adi_backend_mut();
-                let n = adi.len();
-                adi.clear();
-                n
-            }
             Variant::Service(svc) => clear_sharded(svc),
-            Variant::Indexed(svc) => clear_sharded(svc),
             Variant::Persistent { svc, .. } => clear_sharded(svc),
             Variant::Crash { svc, .. } => clear_sharded(svc.as_ref().expect("open")),
             Variant::Symbolized(svc) => clear_sharded(svc),
@@ -363,9 +345,7 @@ impl Variant {
 
     fn snapshot(&mut self) -> Vec<AdiRecord> {
         let mut snap = match self {
-            Variant::Monolith(pdp) => pdp.adi().snapshot(),
             Variant::Service(svc) => svc.adi().snapshot(),
-            Variant::Indexed(svc) => svc.adi().snapshot(),
             Variant::Persistent { svc, .. } => svc.adi().snapshot(),
             Variant::Crash { svc, .. } => svc.as_ref().expect("open").adi().snapshot(),
             Variant::Symbolized(svc) => svc.adi().snapshot(),
@@ -478,17 +458,7 @@ pub fn run_workload_with(w: &Workload, mutation: Mutation) -> Option<Divergence>
     let persist_vfs = FaultVfs::default();
     let crash_vfs = FaultVfs::default();
     let mut variants = vec![
-        Variant::Monolith(Box::new(Pdp::with_adi(
-            policy.clone(),
-            TRAIL_KEY.to_vec(),
-            MemoryAdi::new(),
-        ))),
         Variant::Service(DecisionService::with_shard_count(
-            policy.clone(),
-            TRAIL_KEY.to_vec(),
-            w.shards,
-        )),
-        Variant::Indexed(DecisionService::<IndexedAdi>::with_shard_count(
             policy.clone(),
             TRAIL_KEY.to_vec(),
             w.shards,

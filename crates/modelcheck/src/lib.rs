@@ -10,10 +10,11 @@
 //! * [`gen`] — seeded generation of random-but-valid policy sets and
 //!   operation sequences ([`generate`]).
 //! * [`diff`] — the differential driver: replays one workload through
-//!   every engine variant (monolithic `Pdp`, shared-read
-//!   `DecisionService`, the indexed backend, the persistent backend,
-//!   and a mid-sequence crash-reopen variant) and checks each verdict
-//!   and the retained ADI state against the oracle ([`run_workload`]).
+//!   every engine variant (the `DecisionService` over the reference
+//!   `MemoryAdi`, the persistent backend, a mid-sequence crash-reopen
+//!   variant, the symbolized store, and the symbolized service behind
+//!   the wire protocol) and checks each verdict and the retained ADI
+//!   state against the oracle ([`run_workload`]).
 //! * [`shrink`]/[`script`] — when a divergence is found, delta-debug it
 //!   to a locally-minimal workload and print it as a ready-to-paste
 //!   regression test ([`report`]).

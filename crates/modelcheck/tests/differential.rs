@@ -1,13 +1,14 @@
 //! The randomized differential conformance sweep, run in CI.
 //!
 //! Every seed generates one workload (policies + operation sequence)
-//! and replays it through all engine variants — monolithic `Pdp`,
-//! `DecisionService` over the memory and indexed backends, the
-//! persistent backend, a mid-sequence crash-reopen variant (which on
-//! alternating power cuts reopens a journal downgraded to string-era
-//! v1 frames, covering the frame-format migration), and the
-//! symbolized interned fast path — asserting verdict-for-verdict and
-//! retained-ADI-state equivalence against the naive spec oracle.
+//! and replays it through all five engine variants — the
+//! `DecisionService` over the reference memory backend, the persistent
+//! backend, a mid-sequence crash-reopen variant (which on alternating
+//! power cuts reopens a journal downgraded to string-era v1 frames,
+//! covering the frame-format migration), the symbolized interned fast
+//! path, and that path behind the wire protocol — asserting
+//! verdict-for-verdict and retained-ADI-state equivalence against the
+//! naive spec oracle.
 //!
 //! Knobs (mirroring the crash-sim suite):
 //!

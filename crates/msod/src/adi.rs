@@ -14,11 +14,11 @@
 //!
 //! `MemoryAdi` mirrors the paper's in-core implementation (§5.2) and is
 //! quarantined behind the `test-oracle` feature: its O(n) fresh-context
-//! scan makes it a differential-testing oracle, not a production
-//! backend. Production code uses the trie-indexed store
-//! (`crate::indexed::IndexedAdi`), the symbolized store
-//! (`crate::sym::SymAdi`), or the `storage` crate's persistent backend
-//! (§6 future work), all behind the same [`RetainedAdi`] trait.
+//! scan makes it the reference store the tests compare against, not a
+//! production backend. Production code uses the symbolized,
+//! context-trie-indexed store (`crate::sym::SymAdi`) in memory, or the
+//! `storage` crate's journaled backend over the same index (§6 future
+//! work), both behind the same [`RetainedAdi`] trait.
 
 use context::{BoundContext, ContextInstance};
 
@@ -126,7 +126,7 @@ pub trait RetainedAdi {
 /// Test oracle only: the `context_active` scan is O(n) over every
 /// retained record, so this backend is compiled only under `cfg(test)`
 /// or the `test-oracle` feature and serves as the reference
-/// implementation that the indexed and symbolized stores are
+/// implementation that the symbolized and persistent stores are
 /// differentially checked against.
 #[derive(Debug, Default, Clone)]
 #[cfg(any(test, feature = "test-oracle"))]

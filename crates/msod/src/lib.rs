@@ -14,17 +14,20 @@
 //!   once per context instance);
 //! - [`MsodPolicy`] / [`MsodPolicySet`] — constraints scoped by a
 //!   hierarchical business context with optional first/last steps;
-//! - [`RetainedAdi`] / [`IndexedAdi`] — the ISO 10181-3 retained
-//!   access-control decision information store (trie-indexed);
+//! - [`RetainedAdi`] / [`SymAdi`] — the ISO 10181-3 retained
+//!   access-control decision information store (symbolized,
+//!   context-trie-indexed);
 //! - [`MsodEngine`] — the §4.2 enforcement algorithm, run by the PDP
 //!   after the normal RBAC check grants;
 //! - [`sym`] — the symbol plane: interned requests, flat multiset
 //!   matchers, and the allocation-free [`sym::SymEngine`] fast path.
 //!
 //! ```
+//! use std::sync::Arc;
+//!
 //! use context::ContextInstance;
-//! use msod::{IndexedAdi, Mmer, MsodEngine, MsodPolicy, MsodPolicySet,
-//!            MsodRequest, RoleRef};
+//! use msod::{Mmer, MsodEngine, MsodPolicy, MsodPolicySet, MsodRequest,
+//!            RoleRef, SymAdi};
 //!
 //! // Example 1 of the paper: no one may act as both Teller and Auditor
 //! // anywhere in the bank within one audit period.
@@ -37,7 +40,7 @@
 //!     vec![],
 //! ).unwrap();
 //! let engine = MsodEngine::new(MsodPolicySet::new(vec![policy]));
-//! let mut adi = IndexedAdi::new();
+//! let mut adi = SymAdi::new(Arc::new(msod::symtab::SymbolTable::new()));
 //!
 //! let york: ContextInstance = "Branch=York, Period=2006".parse().unwrap();
 //! let leeds: ContextInstance = "Branch=Leeds, Period=2006".parse().unwrap();
@@ -63,7 +66,6 @@ pub mod constraint;
 pub mod engine;
 pub mod error;
 pub mod explain;
-pub mod indexed;
 pub mod policy;
 pub mod privilege;
 pub mod sharded;
@@ -80,7 +82,6 @@ pub use error::MsodError;
 pub use explain::{
     step_title, ConstraintTrace, EntryTrace, MsodExplanation, PolicyTrace, RecordTrace,
 };
-pub use indexed::IndexedAdi;
 pub use policy::{MsodPolicy, MsodPolicySet};
 pub use privilege::{Privilege, RoleRef};
 pub use sharded::{AdiMetrics, ShardMetrics, ShardedAdi, DEFAULT_SHARDS, EPOCH_STALL_NS};
@@ -121,13 +122,13 @@ mod adi_equivalence {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// IndexedAdi answers every query and mutation exactly like
-        /// MemoryAdi, over two-level context hierarchies with literal
-        /// and starred purges.
+        /// The production store answers every query and mutation
+        /// exactly like the reference MemoryAdi, over two-level context
+        /// hierarchies with literal and starred purges.
         #[test]
-        fn indexed_equivalent_to_memory(ops in proptest::collection::vec(arb_op(), 0..50)) {
+        fn sym_equivalent_to_memory(ops in proptest::collection::vec(arb_op(), 0..50)) {
             let mut mem = MemoryAdi::new();
-            let mut idx = IndexedAdi::new();
+            let mut sym = SymAdi::new(std::sync::Arc::new(symtab::SymbolTable::new()));
             for (ts, op) in ops.iter().enumerate() {
                 match op {
                     Op::Add { user, role, depth1, depth2 } => {
@@ -144,47 +145,47 @@ mod adi_equivalence {
                             timestamp: ts as u64,
                         };
                         mem.add(rec.clone());
-                        idx.add(rec);
+                        sym.add(rec);
                     }
                     Op::PurgeLiteral { v } => {
                         let name: context::ContextName = "A=!".parse().unwrap();
                         let b = name.bind(&format!("A={v}").parse().unwrap()).unwrap();
-                        prop_assert_eq!(mem.purge(&b), idx.purge(&b));
+                        prop_assert_eq!(mem.purge(&b), sym.purge(&b));
                     }
                     Op::PurgeStar { v2 } => {
                         let name: context::ContextName = "A=*, B=!".parse().unwrap();
                         let b = name
                             .bind(&format!("A=0, B={v2}").parse().unwrap())
                             .unwrap();
-                        prop_assert_eq!(mem.purge(&b), idx.purge(&b));
+                        prop_assert_eq!(mem.purge(&b), sym.purge(&b));
                     }
                     Op::PurgeOlder { cutoff } => {
                         prop_assert_eq!(
                             mem.purge_older_than(*cutoff),
-                            idx.purge_older_than(*cutoff)
+                            sym.purge_older_than(*cutoff)
                         );
                     }
                     Op::Clear => {
                         mem.clear();
-                        idx.clear();
+                        sym.clear();
                     }
                 }
-                prop_assert_eq!(mem.len(), idx.len());
+                prop_assert_eq!(mem.len(), sym.len());
                 // Probe queries after every op.
                 for probe in ["A=0", "A=1", "A=0, B=1", "A=2, B=2"] {
                     let name: context::ContextName = "A=!".parse().unwrap();
                     let b = name.bind(&probe.parse().unwrap()).unwrap();
-                    prop_assert_eq!(mem.context_active(&b), idx.context_active(&b));
+                    prop_assert_eq!(mem.context_active(&b), sym.context_active(&b));
                     for u in 0..4u8 {
                         let user = format!("u{u}");
                         prop_assert_eq!(
-                            mem.user_records(&user, &b).len(),
-                            idx.user_records(&user, &b).len()
+                            mem.user_records(&user, &b),
+                            sym.user_records(&user, &b)
                         );
                     }
                 }
             }
-            prop_assert_eq!(mem.snapshot(), idx.snapshot());
+            prop_assert_eq!(mem.snapshot(), sym.snapshot());
         }
     }
 }

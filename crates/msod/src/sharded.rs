@@ -627,7 +627,6 @@ impl MsodEngine {
 mod tests {
     use super::*;
     use crate::adi::MemoryAdi;
-    use crate::indexed::IndexedAdi;
     use crate::policy::{MsodPolicy, MsodPolicySet};
     use crate::privilege::{Privilege, RoleRef};
     use crate::{Mmep, Mmer};
@@ -740,9 +739,9 @@ mod tests {
     }
 
     #[test]
-    fn works_over_indexed_adi() {
+    fn mmep_caps_repeat_exercise_across_shards() {
         let eng = engine();
-        let adi: ShardedAdi<IndexedAdi> = ShardedAdi::new(3);
+        let adi: ShardedAdi<MemoryAdi> = ShardedAdi::new(3);
         let c = ctx("Proc=p3");
         let a = [role("A")];
         let b = [role("B")];

@@ -678,8 +678,10 @@ impl std::hash::Hasher for PackHash {
 
 type PackHashBuilder = std::hash::BuildHasherDefault<PackHash>;
 
-/// One node of the symbolized context trie (the [`crate::indexed`]
-/// structure re-keyed from strings to packed `(type, pair)` symbols).
+/// One node of the symbolized context trie: one node per
+/// business-context level, edges keyed by the packed `(type, pair)`
+/// symbols of the next component, each node counting the records at
+/// and below it.
 #[derive(Debug, Default)]
 struct SymTrieNode {
     children: HashMap<u64, SymTrieNode, PackHashBuilder>,

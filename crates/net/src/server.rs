@@ -10,8 +10,7 @@
 //!
 //! The server is deliberately non-generic: it holds the decision
 //! service behind the object-safe [`Backend`] trait, so one
-//! `NetServer` type fronts indexed, symbolized and persistent
-//! services alike.
+//! `NetServer` type fronts in-memory and persistent services alike.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};

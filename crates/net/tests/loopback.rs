@@ -30,7 +30,9 @@ fn work(user: &str, role: &str, project: &str, ts: u64) -> DecisionRequest {
 }
 
 fn spawn_server() -> (NetServer, Arc<DecisionService>, String) {
-    let svc = Arc::new(DecisionService::from_xml(BUILTIN_POLICY, b"loopback".to_vec()).unwrap());
+    let svc = Arc::new(
+        DecisionService::from_xml_symbolized(BUILTIN_POLICY, b"loopback".to_vec()).unwrap(),
+    );
     let server = NetServer::bind("127.0.0.1:0", Arc::clone(&svc), NetConfig::default()).unwrap();
     let addr = server.local_addr().to_string();
     (server, svc, addr)
@@ -93,7 +95,7 @@ fn metrics_endpoint_is_byte_identical_to_renderer() {
 #[test]
 fn wire_decide_matches_in_process() {
     let (_server, _svc, addr) = spawn_server();
-    let local = DecisionService::from_xml(BUILTIN_POLICY, b"local".to_vec()).unwrap();
+    let local = DecisionService::from_xml_symbolized(BUILTIN_POLICY, b"local".to_vec()).unwrap();
     let mut client = NetClient::connect(&addr).unwrap();
     let traffic = [
         ("u1", "Member", "p1", 1),
@@ -258,15 +260,11 @@ fn garbage_never_kills_the_server() {
     assert!(matches!(v, WireVerdict::Grant { .. }), "{v:?}");
 }
 
-/// A symbolized backend serves the same wire contract (the downcast
-/// sym path runs under the server's threads).
+/// Wire inspect filters by user after a grant and an MSoD deny.
 #[test]
-fn symbolized_backend_over_the_wire() {
-    let svc = Arc::new(
-        DecisionService::from_xml_symbolized(BUILTIN_POLICY, b"sym-loopback".to_vec()).unwrap(),
-    );
-    let server = NetServer::bind("127.0.0.1:0", Arc::clone(&svc), NetConfig::default()).unwrap();
-    let mut client = NetClient::connect(&server.local_addr().to_string()).unwrap();
+fn wire_inspect_filters_by_user() {
+    let (_server, _svc, addr) = spawn_server();
+    let mut client = NetClient::connect(&addr).unwrap();
     assert!(matches!(
         client.decide(&work("u1", "Member", "p1", 1)).unwrap(),
         WireVerdict::Grant { .. }

@@ -44,35 +44,9 @@ pub use prom::{validate_metrics_text, PromWriter};
 pub use ring::TraceRing;
 pub use span::{active_spans, Span, Stopwatch};
 
-/// Which instrumentation configuration this crate was compiled with:
-/// `"on"` normally, `"off"` under the `obs-off` feature. Benchmarks
-/// embed this in their output so obs-on/obs-off sweeps are
-/// self-describing.
-pub fn mode() -> &'static str {
-    if enabled() {
-        "on"
-    } else {
-        "off"
-    }
-}
-
 /// `true` unless instrumentation was compiled out with `obs-off`.
 /// Lets callers skip building trace payloads (string clones) that a
 /// no-op [`TraceRing::push`] would immediately discard.
 pub const fn enabled() -> bool {
     !cfg!(feature = "obs-off")
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn mode_matches_feature() {
-        if cfg!(feature = "obs-off") {
-            assert_eq!(mode(), "off");
-        } else {
-            assert_eq!(mode(), "on");
-        }
-    }
 }

@@ -20,7 +20,7 @@
 //!
 //! ```
 //! use msod::RoleRef;
-//! use permis::{DecisionRequest, Pdp};
+//! use permis::{DecisionRequest, DecisionService};
 //!
 //! let policy = r#"<RBACPolicy id="demo" roleType="employee">
 //!   <SOAPolicy><SOA dn="cn=HR"/></SOAPolicy>
@@ -30,7 +30,7 @@
 //!     </TargetAccess>
 //!   </TargetAccessPolicy>
 //! </RBACPolicy>"#;
-//! let mut pdp = Pdp::from_xml(policy, b"trail-key".to_vec()).unwrap();
+//! let pdp = DecisionService::from_xml_symbolized(policy, b"trail-key".to_vec()).unwrap();
 //! let out = pdp.decide(&DecisionRequest::with_roles(
 //!     "cn=alice",
 //!     vec![RoleRef::new("employee", "Teller")],
@@ -43,9 +43,9 @@
 //! ```
 
 pub mod explain;
+mod front_end;
 pub mod metrics;
 pub mod mgmt;
-pub mod pdp;
 pub mod pep;
 pub mod recovery;
 pub mod request;
@@ -57,7 +57,6 @@ pub use metrics::{
     FLIGHT_CAPACITY, HISTORY_CAPACITY, TRACE_CAPACITY,
 };
 pub use mgmt::{purge_scope, ManagementOp, MGMT_TARGET, RETAINED_ADI_CONTROLLER};
-pub use pdp::Pdp;
 pub use pep::{Pep, PepSession};
 pub use recovery::RecoveryReport;
 pub use request::{Credentials, DecisionOutcome, DecisionRequest, DenyReason};

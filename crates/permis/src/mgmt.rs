@@ -11,14 +11,11 @@
 //! This module implements that design: management operations are
 //! themselves decision requests against the pseudo-target
 //! [`MGMT_TARGET`], so the PDP's own policy (and audit trail) governs
-//! and records ADI administration.
+//! and records ADI administration. The port itself is
+//! [`DecisionService::manage`](crate::DecisionService::manage) and
+//! [`DecisionService::inspect`](crate::DecisionService::inspect).
 
-use audit::AuditEvent;
 use context::{BoundContext, ContextName};
-use msod::RetainedAdi;
-
-use crate::pdp::Pdp;
-use crate::request::{Credentials, DecisionRequest, DenyReason};
 
 /// The pseudo-target URI representing the retained ADI resource.
 pub const MGMT_TARGET: &str = "pdp:retainedADI";
@@ -50,94 +47,6 @@ impl ManagementOp {
     }
 }
 
-impl<A: RetainedAdi> Pdp<A> {
-    /// Execute a management operation. The caller is authorized by the
-    /// PDP's own policy: the operation is evaluated as a normal decision
-    /// request on [`MGMT_TARGET`], so only subjects holding a role the
-    /// policy allows (conventionally [`RETAINED_ADI_CONTROLLER`]) get
-    /// through. Returns the number of records removed.
-    pub fn manage(
-        &mut self,
-        subject: impl Into<String>,
-        credentials: Credentials,
-        op: ManagementOp,
-        timestamp: u64,
-    ) -> Result<usize, DenyReason> {
-        let req = DecisionRequest {
-            subject: subject.into(),
-            credentials,
-            operation: op.operation_name().to_owned(),
-            target: MGMT_TARGET.to_owned(),
-            context: context::ContextInstance::root(),
-            environment: Vec::new(),
-            timestamp,
-        };
-        let outcome = self.decide(&req);
-        if let Some(reason) = outcome.deny_reason() {
-            return Err(reason.clone());
-        }
-        let (removed, event) = match &op {
-            ManagementOp::PurgeContext(bound) => (
-                self.adi_mut().purge(bound),
-                AuditEvent::admin_purge(bound.to_string(), "management purge"),
-            ),
-            ManagementOp::PurgeOlderThan(cutoff) => (
-                self.adi_mut().purge_older_than(*cutoff),
-                AuditEvent::admin_purge("", format!("olderThan:{cutoff}")),
-            ),
-            ManagementOp::PurgeAll => {
-                let n = self.adi().len();
-                self.adi_mut().clear();
-                (n, AuditEvent::admin_purge("", "purgeAll"))
-            }
-        };
-        self.trail_mut().append(event, timestamp);
-        Ok(removed)
-    }
-}
-
-impl<A: RetainedAdi> Pdp<A> {
-    /// Read-only management: list retained-ADI records, optionally
-    /// filtered to one user. Authorized like any other management
-    /// operation (operation name `read` on [`MGMT_TARGET`]); the read
-    /// itself is audited as a note.
-    pub fn inspect(
-        &mut self,
-        subject: impl Into<String>,
-        credentials: Credentials,
-        user_filter: Option<&str>,
-        timestamp: u64,
-    ) -> Result<Vec<msod::AdiRecord>, DenyReason> {
-        let subject = subject.into();
-        let req = DecisionRequest {
-            subject: subject.clone(),
-            credentials,
-            operation: "read".to_owned(),
-            target: MGMT_TARGET.to_owned(),
-            context: context::ContextInstance::root(),
-            environment: Vec::new(),
-            timestamp,
-        };
-        let outcome = self.decide(&req);
-        if let Some(reason) = outcome.deny_reason() {
-            return Err(reason.clone());
-        }
-        let records: Vec<msod::AdiRecord> = match user_filter {
-            Some(user) => self.adi().snapshot().into_iter().filter(|r| r.user == user).collect(),
-            None => self.adi().snapshot(),
-        };
-        self.trail_mut().append(
-            AuditEvent::note(format!(
-                "retained-ADI inspected by {subject} ({} record(s){})",
-                records.len(),
-                user_filter.map(|u| format!(", filter user={u}")).unwrap_or_default()
-            )),
-            timestamp,
-        );
-        Ok(records)
-    }
-}
-
 /// Convenience: build the bound context for a fully-literal context
 /// name string (e.g. `"TaxOffice=Kent"`), as administrators would name
 /// the scope to purge.
@@ -149,6 +58,7 @@ pub fn purge_scope(name: &str) -> Result<BoundContext, context::ContextError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Credentials, DecisionRequest, DecisionService, DenyReason};
     use msod::RoleRef;
 
     /// A policy protecting the mgmt port plus one business target, with
@@ -175,12 +85,12 @@ mod tests {
   </MSoDPolicySet>
 </RBACPolicy>"#;
 
-    fn pdp() -> Pdp {
-        Pdp::from_xml(POLICY, b"key".to_vec()).unwrap()
+    fn service() -> DecisionService {
+        DecisionService::from_xml_symbolized(POLICY, b"key".to_vec()).unwrap()
     }
 
-    fn work(pdp: &mut Pdp, user: &str, role: &str, project: &str, ts: u64) -> bool {
-        pdp.decide(&DecisionRequest::with_roles(
+    fn work(svc: &DecisionService, user: &str, role: &str, project: &str, ts: u64) -> bool {
+        svc.decide(&DecisionRequest::with_roles(
             user,
             vec![RoleRef::new("permisRole", role)],
             "work",
@@ -197,12 +107,12 @@ mod tests {
 
     #[test]
     fn controller_can_purge_context() {
-        let mut pdp = pdp();
-        assert!(work(&mut pdp, "alice", "Member", "p1", 1));
-        assert!(work(&mut pdp, "alice", "Member", "p2", 2));
-        assert_eq!(pdp.adi().len(), 2);
+        let svc = service();
+        assert!(work(&svc, "alice", "Member", "p1", 1));
+        assert!(work(&svc, "alice", "Member", "p2", 2));
+        assert_eq!(svc.adi().len(), 2);
 
-        let removed = pdp
+        let removed = svc
             .manage(
                 "cn=admin",
                 controller_creds(),
@@ -211,18 +121,18 @@ mod tests {
             )
             .unwrap();
         assert_eq!(removed, 1);
-        assert_eq!(pdp.adi().len(), 1);
+        assert_eq!(svc.adi().len(), 1);
         // After the purge, alice may review p1 again (fresh instance)
         // but is still locked out of p2.
-        assert!(work(&mut pdp, "alice", "Reviewer", "p1", 11));
-        assert!(!work(&mut pdp, "alice", "Reviewer", "p2", 12));
+        assert!(work(&svc, "alice", "Reviewer", "p1", 11));
+        assert!(!work(&svc, "alice", "Reviewer", "p2", 12));
     }
 
     #[test]
     fn non_controller_denied() {
-        let mut pdp = pdp();
-        work(&mut pdp, "alice", "Member", "p1", 1);
-        let err = pdp
+        let svc = service();
+        work(&svc, "alice", "Member", "p1", 1);
+        let err = svc
             .manage(
                 "cn=alice",
                 Credentials::Validated(vec![RoleRef::new("permisRole", "Member")]),
@@ -231,40 +141,40 @@ mod tests {
             )
             .unwrap_err();
         assert_eq!(err, DenyReason::RbacDenied);
-        assert_eq!(pdp.adi().len(), 1, "denied management must not touch the ADI");
+        assert_eq!(svc.adi().len(), 1, "denied management must not touch the ADI");
     }
 
     #[test]
     fn purge_older_than() {
-        let mut pdp = pdp();
+        let svc = service();
         for (i, u) in ["a", "b", "c", "d"].iter().enumerate() {
-            work(&mut pdp, u, "Member", "p1", i as u64 * 10);
+            work(&svc, u, "Member", "p1", i as u64 * 10);
         }
-        let removed = pdp
+        let removed = svc
             .manage("cn=admin", controller_creds(), ManagementOp::PurgeOlderThan(15), 100)
             .unwrap();
         assert_eq!(removed, 2);
-        assert_eq!(pdp.adi().len(), 2);
+        assert_eq!(svc.adi().len(), 2);
     }
 
     #[test]
     fn purge_all() {
-        let mut pdp = pdp();
-        work(&mut pdp, "a", "Member", "p1", 1);
-        work(&mut pdp, "b", "Member", "p2", 2);
+        let svc = service();
+        work(&svc, "a", "Member", "p1", 1);
+        work(&svc, "b", "Member", "p2", 2);
         let removed =
-            pdp.manage("cn=admin", controller_creds(), ManagementOp::PurgeAll, 10).unwrap();
+            svc.manage("cn=admin", controller_creds(), ManagementOp::PurgeAll, 10).unwrap();
         assert_eq!(removed, 2);
-        assert!(pdp.adi().is_empty());
+        assert!(svc.adi().is_empty());
     }
 
     #[test]
     fn management_actions_are_audited() {
-        let mut pdp = pdp();
-        work(&mut pdp, "a", "Member", "p1", 1);
-        pdp.manage("cn=admin", controller_creds(), ManagementOp::PurgeAll, 10).unwrap();
+        let svc = service();
+        work(&svc, "a", "Member", "p1", 1);
+        svc.manage("cn=admin", controller_creds(), ManagementOp::PurgeAll, 10).unwrap();
         let kinds: Vec<audit::EventKind> =
-            pdp.trail().open_records().iter().map(|r| r.event.kind).collect();
+            svc.with_trail(|t| t.open_records().iter().map(|r| r.event.kind).collect());
         // work grant, mgmt grant, admin purge.
         assert!(kinds.contains(&audit::EventKind::AdminPurge));
         assert_eq!(kinds.iter().filter(|k| **k == audit::EventKind::Grant).count(), 2);
@@ -272,11 +182,11 @@ mod tests {
 
     #[test]
     fn inspect_requires_controller_and_filters() {
-        let mut pdp = pdp();
-        work(&mut pdp, "alice", "Member", "p1", 1);
-        work(&mut pdp, "bob", "Member", "p2", 2);
+        let svc = service();
+        work(&svc, "alice", "Member", "p1", 1);
+        work(&svc, "bob", "Member", "p2", 2);
         // Unauthorized read refused.
-        assert!(pdp
+        assert!(svc
             .inspect(
                 "cn=alice",
                 Credentials::Validated(vec![RoleRef::new("permisRole", "Member")]),
@@ -285,13 +195,13 @@ mod tests {
             )
             .is_err());
         // Controller reads all, then filtered.
-        let all = pdp.inspect("cn=admin", controller_creds(), None, 6).unwrap();
+        let all = svc.inspect("cn=admin", controller_creds(), None, 6).unwrap();
         assert_eq!(all.len(), 2);
-        let alice_only = pdp.inspect("cn=admin", controller_creds(), Some("alice"), 7).unwrap();
+        let alice_only = svc.inspect("cn=admin", controller_creds(), Some("alice"), 7).unwrap();
         assert_eq!(alice_only.len(), 1);
         assert_eq!(alice_only[0].user, "alice");
         // Reads never mutate.
-        assert_eq!(pdp.adi().len(), 2);
+        assert_eq!(svc.adi().len(), 2);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use context::{ContextInstance, ContextRegistry};
 use credential::AttributeCredential;
-use msod::{IndexedAdi, RetainedAdi, RoleRef};
+use msod::{RetainedAdi, RoleRef, SymAdi};
 use parking_lot::RwLock;
 
 use crate::request::{Credentials, DecisionOutcome, DecisionRequest};
@@ -38,7 +38,7 @@ pub struct PepSession {
 }
 
 /// The application-side policy enforcement point.
-pub struct Pep<A: RetainedAdi = IndexedAdi> {
+pub struct Pep<A: RetainedAdi = SymAdi> {
     service: Arc<DecisionService<A>>,
     registry: RwLock<ContextRegistry>,
     next_session: AtomicU64,
@@ -179,8 +179,8 @@ mod tests {
   </MSoDPolicySet>
 </RBACPolicy>"#;
 
-    fn setup() -> (Pep<IndexedAdi>, Authority) {
-        let service = DecisionService::from_xml(POLICY, b"k".to_vec()).unwrap();
+    fn setup() -> (Pep, Authority) {
+        let service = DecisionService::from_xml_symbolized(POLICY, b"k".to_vec()).unwrap();
         let hr = Authority::new("cn=HR", b"hr".to_vec());
         service.register_authority_key(hr.dn(), hr.verification_key().to_vec());
         (Pep::new(Arc::new(service)), hr)
@@ -240,7 +240,7 @@ mod tests {
         // Two resource gateways (PEPs) in different domains route to the
         // same PDP — the distributed deployment of §1.
         let (pep1, _) = setup();
-        let pep2: Pep<IndexedAdi> = Pep::new(pep1.service());
+        let pep2: Pep = Pep::new(pep1.service());
         let ctx: ContextInstance = "Proc=1".parse().unwrap();
         pep1.open_context(ctx.clone());
         pep2.open_context(ctx.clone());

@@ -2,11 +2,11 @@
 //! *n* audit trails starting at time *t*, filtered through the current
 //! MSoD policy set.
 
-use audit::{AuditError, EventKind, Record};
+use audit::{EventKind, Record};
 use context::{BoundContext, ContextInstance, ContextName};
 use msod::{MsodRequest, RetainedAdi, RoleRef};
 
-use crate::pdp::{decode_role, Pdp};
+use crate::front_end::decode_role;
 
 /// What recovery did.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -24,40 +24,7 @@ pub struct RecoveryReport {
     pub undecodable: usize,
 }
 
-impl<A: RetainedAdi> Pdp<A> {
-    /// Rebuild the retained ADI from the attached [`audit::TrailStore`]:
-    /// load and verify the last `n` sealed segments, drop records older
-    /// than `from_time`, and replay the rest through the *current* MSoD
-    /// policy set (grants retain, last steps / terminations / admin
-    /// purges purge). The in-memory ADI is cleared first. A Startup
-    /// marker is appended to the live trail.
-    pub fn recover(&mut self, last_n: usize, from_time: u64) -> Result<RecoveryReport, AuditError> {
-        let mut report = RecoveryReport::default();
-        let segments = match self.store() {
-            Some(store) => store.load_last(last_n, self.trail_key())?,
-            None => Vec::new(),
-        };
-        report.segments_loaded = segments.len();
-
-        self.adi_mut().clear();
-        let engine = self.engine().clone();
-        for seg in &segments {
-            for rec in &seg.records {
-                if rec.timestamp < from_time {
-                    continue;
-                }
-                apply_recovered_record(&engine, self.adi_mut(), rec, &mut report);
-            }
-        }
-        report.records_retained = self.adi().len();
-        let now = segments.last().and_then(|s| s.records.last()).map_or(0, |r| r.timestamp);
-        self.trail_mut().append(audit::AuditEvent::startup(), now);
-        Ok(report)
-    }
-}
-
-/// Re-apply one recovered audit record to an ADI being rebuilt — shared
-/// by [`Pdp::recover`] and
+/// Re-apply one recovered audit record to an ADI being rebuilt by
 /// [`crate::DecisionService::recover`](crate::DecisionService::recover).
 pub(crate) fn apply_recovered_record(
     engine: &msod::MsodEngine,
@@ -124,8 +91,8 @@ pub(crate) fn apply_recovered_record(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::request::DecisionRequest;
+    use crate::DecisionService;
     use audit::TrailStore;
     use msod::RoleRef;
 
@@ -149,6 +116,10 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("permis-rec-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    fn service(policy: &str) -> DecisionService {
+        DecisionService::from_xml_symbolized(policy, b"key".to_vec()).unwrap()
     }
 
     fn teller_req(user: &str, ts: u64) -> DecisionRequest {
@@ -178,21 +149,21 @@ mod tests {
         let dir = temp_dir("basic");
         // First PDP lifetime: alice acts as Teller, then "crashes".
         {
-            let mut pdp = Pdp::from_xml(POLICY, b"key".to_vec()).unwrap();
-            pdp.attach_store(TrailStore::open(&dir).unwrap());
-            assert!(pdp.decide(&teller_req("alice", 10)).is_granted());
-            assert!(pdp.decide(&teller_req("bob", 11)).is_granted());
-            pdp.rotate_and_persist().unwrap();
+            let svc = service(POLICY);
+            svc.attach_store(TrailStore::open(&dir).unwrap());
+            assert!(svc.decide(&teller_req("alice", 10)).is_granted());
+            assert!(svc.decide(&teller_req("bob", 11)).is_granted());
+            svc.rotate_and_persist().unwrap();
         }
         // Second lifetime: fresh PDP recovers and still denies alice.
-        let mut pdp = Pdp::from_xml(POLICY, b"key".to_vec()).unwrap();
-        pdp.attach_store(TrailStore::open(&dir).unwrap());
-        let report = pdp.recover(10, 0).unwrap();
+        let svc = service(POLICY);
+        svc.attach_store(TrailStore::open(&dir).unwrap());
+        let report = svc.recover(10, 0).unwrap();
         assert_eq!(report.segments_loaded, 1);
         assert_eq!(report.grants_replayed, 2);
         assert_eq!(report.records_retained, 2);
-        assert!(!pdp.decide(&auditor_req("alice", 100)).is_granted());
-        assert!(pdp.decide(&auditor_req("carol", 101)).is_granted());
+        assert!(!svc.decide(&auditor_req("alice", 100)).is_granted());
+        assert!(svc.decide(&auditor_req("carol", 101)).is_granted());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -201,19 +172,19 @@ mod tests {
         let dir = temp_dir("equal");
         let snapshot_before;
         {
-            let mut pdp = Pdp::from_xml(POLICY, b"key".to_vec()).unwrap();
-            pdp.attach_store(TrailStore::open(&dir).unwrap());
+            let svc = service(POLICY);
+            svc.attach_store(TrailStore::open(&dir).unwrap());
             for (i, user) in ["alice", "bob", "carol"].iter().enumerate() {
-                pdp.decide(&teller_req(user, 10 + i as u64));
+                svc.decide(&teller_req(user, 10 + i as u64));
             }
-            pdp.decide(&auditor_req("dave", 20));
-            snapshot_before = pdp.adi().snapshot();
-            pdp.rotate_and_persist().unwrap();
+            svc.decide(&auditor_req("dave", 20));
+            snapshot_before = svc.adi().snapshot();
+            svc.rotate_and_persist().unwrap();
         }
-        let mut pdp = Pdp::from_xml(POLICY, b"key".to_vec()).unwrap();
-        pdp.attach_store(TrailStore::open(&dir).unwrap());
-        pdp.recover(10, 0).unwrap();
-        assert_eq!(pdp.adi().snapshot(), snapshot_before);
+        let svc = service(POLICY);
+        svc.attach_store(TrailStore::open(&dir).unwrap());
+        svc.recover(10, 0).unwrap();
+        assert_eq!(svc.adi().snapshot(), snapshot_before);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -221,25 +192,25 @@ mod tests {
     fn recovery_respects_from_time_and_n() {
         let dir = temp_dir("window");
         {
-            let mut pdp = Pdp::from_xml(POLICY, b"key".to_vec()).unwrap();
-            pdp.attach_store(TrailStore::open(&dir).unwrap());
-            pdp.decide(&teller_req("old-user", 10));
-            pdp.rotate_and_persist().unwrap();
-            pdp.decide(&teller_req("new-user", 1000));
-            pdp.rotate_and_persist().unwrap();
+            let svc = service(POLICY);
+            svc.attach_store(TrailStore::open(&dir).unwrap());
+            svc.decide(&teller_req("old-user", 10));
+            svc.rotate_and_persist().unwrap();
+            svc.decide(&teller_req("new-user", 1000));
+            svc.rotate_and_persist().unwrap();
         }
         // Only the last segment.
-        let mut pdp = Pdp::from_xml(POLICY, b"key".to_vec()).unwrap();
-        pdp.attach_store(TrailStore::open(&dir).unwrap());
-        let report = pdp.recover(1, 0).unwrap();
+        let svc = service(POLICY);
+        svc.attach_store(TrailStore::open(&dir).unwrap());
+        let report = svc.recover(1, 0).unwrap();
         assert_eq!(report.segments_loaded, 1);
-        assert_eq!(pdp.adi().len(), 1);
+        assert_eq!(svc.adi().len(), 1);
         // All segments, but from_time excludes the old record.
-        let mut pdp2 = Pdp::from_xml(POLICY, b"key".to_vec()).unwrap();
-        pdp2.attach_store(TrailStore::open(&dir).unwrap());
-        let report = pdp2.recover(10, 500).unwrap();
+        let svc2 = service(POLICY);
+        svc2.attach_store(TrailStore::open(&dir).unwrap());
+        let report = svc2.recover(10, 500).unwrap();
         assert_eq!(report.segments_loaded, 2);
-        assert_eq!(pdp2.adi().len(), 1);
+        assert_eq!(svc2.adi().len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -247,17 +218,17 @@ mod tests {
     fn policy_change_refilters_history() {
         let dir = temp_dir("policy-change");
         {
-            let mut pdp = Pdp::from_xml(POLICY, b"key".to_vec()).unwrap();
-            pdp.attach_store(TrailStore::open(&dir).unwrap());
-            pdp.decide(&teller_req("alice", 10));
-            pdp.rotate_and_persist().unwrap();
+            let svc = service(POLICY);
+            svc.attach_store(TrailStore::open(&dir).unwrap());
+            svc.decide(&teller_req("alice", 10));
+            svc.rotate_and_persist().unwrap();
         }
         // Restart with a policy whose MSoD set no longer mentions the
         // bank context: nothing is retained.
         let no_msod = POLICY.replace(r#"Branch=*, Period=!"#, r#"Completely=different, Scope=!"#);
-        let mut pdp = Pdp::from_xml(&no_msod, b"key".to_vec()).unwrap();
-        pdp.attach_store(TrailStore::open(&dir).unwrap());
-        let report = pdp.recover(10, 0).unwrap();
+        let svc = service(&no_msod);
+        svc.attach_store(TrailStore::open(&dir).unwrap());
+        let report = svc.recover(10, 0).unwrap();
         assert_eq!(report.grants_replayed, 1);
         assert_eq!(report.records_retained, 0);
         let _ = std::fs::remove_dir_all(&dir);
@@ -267,10 +238,10 @@ mod tests {
     fn tampered_store_fails_recovery() {
         let dir = temp_dir("tamper");
         {
-            let mut pdp = Pdp::from_xml(POLICY, b"key".to_vec()).unwrap();
-            pdp.attach_store(TrailStore::open(&dir).unwrap());
-            pdp.decide(&teller_req("alice", 10));
-            pdp.rotate_and_persist().unwrap();
+            let svc = service(POLICY);
+            svc.attach_store(TrailStore::open(&dir).unwrap());
+            svc.decide(&teller_req("alice", 10));
+            svc.rotate_and_persist().unwrap();
         }
         // Flip a byte in the stored segment.
         let file = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap().path();
@@ -279,9 +250,9 @@ mod tests {
         bytes[mid] ^= 0xff;
         std::fs::write(&file, bytes).unwrap();
 
-        let mut pdp = Pdp::from_xml(POLICY, b"key".to_vec()).unwrap();
-        pdp.attach_store(TrailStore::open(&dir).unwrap());
-        assert!(pdp.recover(10, 0).is_err());
+        let svc = service(POLICY);
+        svc.attach_store(TrailStore::open(&dir).unwrap());
+        assert!(svc.recover(10, 0).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -18,12 +18,12 @@
 //!
 //! ```
 //! use msod::RetainedAdi;
-//! use permis::Pdp;
+//! use permis::DecisionService;
 //! use workflow::{ProcessDefinition, ProcessRun};
 //!
 //! # let policy = workflow::scenarios::workload_policy_xml(
 //! #     &workflow::scenarios::WorkloadConfig::default());
-//! # let _ = Pdp::from_xml(&policy, b"k".to_vec()).unwrap();
+//! # let _ = DecisionService::from_xml_symbolized(&policy, b"k".to_vec()).unwrap();
 //! let process = ProcessDefinition::tax_refund();
 //! assert_eq!(process.tasks.len(), 4);
 //! assert_eq!(process.task("T2").unwrap().completions, 2);
@@ -57,7 +57,7 @@ mod proptests {
             attempts in proptest::collection::vec((0usize..4, 0usize..8), 1..120),
         ) {
             let policy = crate::engine::TAX_POLICY;
-            let mut pdp = permis::Pdp::from_xml(policy, b"k".to_vec()).unwrap();
+            let pdp = permis::DecisionService::from_xml_symbolized(policy, b"k".to_vec()).unwrap();
             let mut run = ProcessRun::new(
                 ProcessDefinition::tax_refund(),
                 "TaxOffice=Kent, taxRefundProcess=1".parse().unwrap(),
@@ -65,7 +65,7 @@ mod proptests {
             let users = ["u0", "u1", "u2", "u3", "u4", "u5", "u6", "u7"];
             let tasks = ["T1", "T2", "T3", "T4"];
             for (ts, (t, u)) in attempts.iter().enumerate() {
-                let _ = run.attempt(&mut pdp, tasks[*t], users[*u], ts as u64);
+                let _ = run.attempt(&pdp, tasks[*t], users[*u], ts as u64);
             }
             if run.is_complete() {
                 let t1 = run.performers("T1").to_vec();

@@ -160,7 +160,7 @@ pub fn seed_adi(adi: &mut dyn msod::RetainedAdi, cfg: &WorkloadConfig, n: usize,
 mod tests {
     use super::*;
     use msod::{MemoryAdi, RetainedAdi};
-    use permis::Pdp;
+    use permis::DecisionService;
 
     #[test]
     fn generated_policy_parses() {
@@ -180,7 +180,7 @@ mod tests {
         let p = policy::parse_rbac_policy(&xml).unwrap_or_else(|e| panic!("{e}\n{xml}"));
         assert!(p.msod.policies().iter().all(|pol| pol.first_step.is_some()));
         // A non-start op in a fresh context retains nothing.
-        let mut pdp = Pdp::from_xml(&xml, b"k".to_vec()).unwrap();
+        let pdp = DecisionService::from_xml_symbolized(&xml, b"k".to_vec()).unwrap();
         let req = permis::DecisionRequest::with_roles(
             "u",
             vec![RoleRef::new("permisRole", "A0")],
@@ -217,7 +217,8 @@ mod tests {
             requests: 200,
             terminate_percent: 5,
         };
-        let mut pdp = Pdp::from_xml(&workload_policy_xml(&cfg), b"key".to_vec()).unwrap();
+        let pdp = DecisionService::from_xml_symbolized(&workload_policy_xml(&cfg), b"key".to_vec())
+            .unwrap();
         let mut grants = 0;
         let mut denies = 0;
         for req in gen_requests(&cfg, 7) {

@@ -6,8 +6,8 @@
 
 use audit::TrailStore;
 use credential::Authority;
-use msod::{RetainedAdi, RoleRef};
-use permis::{Credentials, DecisionRequest, Pdp};
+use msod::RoleRef;
+use permis::{Credentials, DecisionRequest, DecisionService};
 
 const POLICY: &str = r#"<RBACPolicy id="bank" roleType="employee">
   <SubjectPolicy><SubjectDomain dn="o=bank"/></SubjectPolicy>
@@ -35,13 +35,14 @@ const POLICY: &str = r#"<RBACPolicy id="bank" roleType="employee">
 </RBACPolicy>"#;
 
 struct Bank {
-    pdp: Pdp,
+    pdp: DecisionService,
     hr: Authority,
 }
 
 impl Bank {
     fn new(store_dir: std::path::PathBuf) -> Self {
-        let mut pdp = Pdp::from_xml(POLICY, b"bank-trail-key".to_vec()).expect("policy");
+        let pdp = DecisionService::from_xml_symbolized(POLICY, b"bank-trail-key".to_vec())
+            .expect("policy");
         let hr = Authority::new("cn=HR, o=bank", b"hr-signing-key".to_vec());
         pdp.register_authority_key(hr.dn(), hr.verification_key().to_vec());
         pdp.attach_store(TrailStore::open(&store_dir).expect("store"));
@@ -180,11 +181,12 @@ fn main() {
         400
     ));
 
-    bank.pdp.trail().verify().expect("tamper-evident");
+    let (records, segments) = bank.pdp.with_trail(|trail| {
+        trail.verify().expect("tamper-evident");
+        (trail.len(), trail.segments().len())
+    });
     println!(
-        "\nAudit trail: {} records across {} sealed segment(s) + head — verified.",
-        bank.pdp.trail().len(),
-        bank.pdp.trail().segments().len()
+        "\nAudit trail: {records} records across {segments} sealed segment(s) + head — verified."
     );
 
     let _ = std::fs::remove_dir_all(&dir);

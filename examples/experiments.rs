@@ -7,9 +7,9 @@
 //!
 //! Run with: `cargo run --release --example experiments`
 
-use msod::{MemoryAdi, RetainedAdi, RoleRef};
-use permis::{DecisionRequest, Pdp};
-use storage::PersistentAdi;
+use msod::{AdiRecord, MemoryAdi, RetainedAdi, RoleRef};
+use permis::{DecisionRequest, DecisionService};
+use policy::PdpPolicy;
 use workflow::scenarios::{
     gen_requests, seed_adi, workload_policy_xml, workload_policy_xml_no_msod, WorkloadConfig,
 };
@@ -54,7 +54,15 @@ const BANK_POLICY: &str = r#"<RBACPolicy id="bank" roleType="employee">
   </MSoDPolicySet>
 </RBACPolicy>"#;
 
-fn decide_row(pdp: &mut Pdp, user: &str, role: &str, op: &str, target: &str, ctx: &str, ts: u64) {
+fn decide_row(
+    pdp: &DecisionService,
+    user: &str,
+    role: &str,
+    op: &str,
+    target: &str,
+    ctx: &str,
+    ts: u64,
+) {
     let out = pdp.decide(&DecisionRequest::with_roles(
         user,
         vec![RoleRef::new("employee", role)],
@@ -74,12 +82,12 @@ fn e2_bank_trace() {
     println!("E2. Example 1 — bank cash processing (MMER, Branch=*, Period=!)");
     println!("|   t  | user   | role     | operation    | context                    | out   |");
     println!("|------|--------|----------|--------------|----------------------------|-------|");
-    let mut pdp = Pdp::from_xml(BANK_POLICY, b"k".to_vec()).unwrap();
-    decide_row(&mut pdp, "alice", "Teller", "handleCash", "till", "Branch=York, Period=2006", 1);
-    decide_row(&mut pdp, "alice", "Auditor", "audit", "books", "Branch=Leeds, Period=2006", 180);
-    decide_row(&mut pdp, "bob", "Auditor", "audit", "books", "Branch=York, Period=2006", 300);
-    decide_row(&mut pdp, "bob", "Auditor", "CommitAudit", "audit", "Branch=York, Period=2006", 364);
-    decide_row(&mut pdp, "alice", "Auditor", "audit", "books", "Branch=York, Period=2006", 370);
+    let pdp = DecisionService::from_xml_symbolized(BANK_POLICY, b"k".to_vec()).unwrap();
+    decide_row(&pdp, "alice", "Teller", "handleCash", "till", "Branch=York, Period=2006", 1);
+    decide_row(&pdp, "alice", "Auditor", "audit", "books", "Branch=Leeds, Period=2006", 180);
+    decide_row(&pdp, "bob", "Auditor", "audit", "books", "Branch=York, Period=2006", 300);
+    decide_row(&pdp, "bob", "Auditor", "CommitAudit", "audit", "Branch=York, Period=2006", 364);
+    decide_row(&pdp, "alice", "Auditor", "audit", "books", "Branch=York, Period=2006", 370);
     println!(
         "(row 2: promoted teller denied across branch+session; row 5: free after CommitAudit)\n"
     );
@@ -90,7 +98,7 @@ fn e3_tax_trace() {
     println!("E3. Example 2 — tax refund (MMEP incl. duplicated privilege)");
     println!("| task | user  | outcome                         |");
     println!("|------|-------|---------------------------------|");
-    let mut pdp = Pdp::from_xml(TAX_POLICY, b"k".to_vec()).unwrap();
+    let pdp = DecisionService::from_xml_symbolized(TAX_POLICY, b"k".to_vec()).unwrap();
     let mut run = workflow::ProcessRun::new(
         ProcessDefinition::tax_refund(),
         "TaxOffice=Kent, taxRefundProcess=1".parse().unwrap(),
@@ -106,7 +114,7 @@ fn e3_tax_trace() {
         ("T4", "chris"),
     ] {
         ts += 1;
-        let out = run.attempt(&mut pdp, task, user, ts);
+        let out = run.attempt(&pdp, task, user, ts);
         println!(
             "| {task}   | {user:<5} | {:<31} |",
             format!("{out:?}").chars().take(31).collect::<String>()
@@ -114,7 +122,7 @@ fn e3_tax_trace() {
     }
     // The same-manager-twice denial needs a direct PEP request (the
     // engine's distinct-user rule would mask it).
-    let mut pdp2 = Pdp::from_xml(TAX_POLICY, b"k".to_vec()).unwrap();
+    let pdp2 = DecisionService::from_xml_symbolized(TAX_POLICY, b"k".to_vec()).unwrap();
     let ctx: context::ContextInstance = "TaxOffice=Kent, taxRefundProcess=2".parse().unwrap();
     for (user, op, t) in [
         ("carol", "prepareCheck", "http://www.myTaxOffice.com/Check"),
@@ -152,8 +160,8 @@ fn e4_scoping_table() {
     println!("|-----------------------|-------------|--------------|--------------|");
     for scope in ["Branch=*, Period=!", "Branch=!, Period=!", "Branch=York, Period=!"] {
         let xml = BANK_POLICY.replace("Branch=*, Period=!", scope);
-        let mut pdp = Pdp::from_xml(&xml, b"k".to_vec()).unwrap();
-        let mut act = |role: &str, branch: &str, period: &str, ts| {
+        let pdp = DecisionService::from_xml_symbolized(&xml, b"k".to_vec()).unwrap();
+        let act = |role: &str, branch: &str, period: &str, ts| {
             pdp.decide(&DecisionRequest::with_roles(
                 "alice",
                 vec![RoleRef::new("employee", role)],
@@ -178,19 +186,34 @@ fn e4_scoping_table() {
     println!();
 }
 
+/// Service over the paper's flat in-core store (the reference
+/// `MemoryAdi` the tests compare against), decided by the string engine.
+fn flat(policy: PdpPolicy) -> DecisionService<MemoryAdi> {
+    DecisionService::with_shard_count(policy, b"k".to_vec(), msod::DEFAULT_SHARDS)
+}
+
+/// `svc` with `records` loaded into its retained ADI.
+fn loaded<A: RetainedAdi + 'static>(
+    svc: DecisionService<A>,
+    records: &[AdiRecord],
+) -> DecisionService<A> {
+    svc.adi().with_exclusive(|adi| records.iter().cloned().for_each(|rec| adi.add(rec)));
+    svc
+}
+
 /// E8 — decision latency vs retained-ADI size, MSoD vs plain RBAC.
 fn e8_decision_latency() {
     println!("E8. Decision latency vs retained-ADI size (coarse)");
-    println!("| ADI records | plain RBAC | MSoD flat store | MSoD indexed store |");
-    println!("|-------------|------------|-----------------|--------------------|");
+    println!("| ADI records | plain RBAC | MSoD flat store | MSoD symbolized store |");
+    println!("|-------------|------------|-----------------|-----------------------|");
     // The probe is a DENIED request (user0 already acted as A0 in
     // Proc=0, now presents B0): denials read the full history path but
     // never mutate the ADI, so the seeded size stays fixed while we
     // measure. Three configurations: plain RBAC, MSoD over the paper's
-    // flat store, MSoD over the context-trie IndexedAdi.
+    // flat store, MSoD over the symbolized context-trie store.
     let cfg = WorkloadConfig { users: 200, contexts: 50, role_pairs: 4, ..Default::default() };
-    fn measure<A: msod::RetainedAdi>(
-        mut pdp: Pdp<A>,
+    fn measure<A: RetainedAdi + 'static>(
+        pdp: DecisionService<A>,
         req: &DecisionRequest,
         expect_deny: bool,
     ) -> std::time::Duration {
@@ -203,17 +226,23 @@ fn e8_decision_latency() {
         });
         dt / iters
     }
+    let seeded = |n: usize, extra: Option<AdiRecord>| {
+        let mut adi = MemoryAdi::new();
+        seed_adi(&mut adi, &cfg, n, 7);
+        adi.snapshot().into_iter().chain(extra).collect::<Vec<_>>()
+    };
     for n in [0usize, 1_000, 10_000, 100_000] {
-        let mut seeded = MemoryAdi::new();
-        seed_adi(&mut seeded, &cfg, n, 7);
-        seeded.add(msod::AdiRecord {
-            user: "user0".into(),
-            roles: vec![RoleRef::new("permisRole", "A0")],
-            operation: workflow::scenarios::WORK_OP.into(),
-            target: workflow::scenarios::WORK_TARGET.into(),
-            context: "Proc=0".parse().unwrap(),
-            timestamp: 0,
-        });
+        let records = seeded(
+            n,
+            Some(AdiRecord {
+                user: "user0".into(),
+                roles: vec![RoleRef::new("permisRole", "A0")],
+                operation: workflow::scenarios::WORK_OP.into(),
+                target: workflow::scenarios::WORK_TARGET.into(),
+                context: "Proc=0".parse().unwrap(),
+                timestamp: 0,
+            }),
+        );
         let req = DecisionRequest::with_roles(
             "user0",
             vec![RoleRef::new("permisRole", "B0")],
@@ -224,15 +253,14 @@ fn e8_decision_latency() {
         );
         let plain = policy::parse_rbac_policy(&workload_policy_xml_no_msod(&cfg)).unwrap();
         let with_msod = policy::parse_rbac_policy(&workload_policy_xml(&cfg)).unwrap();
-        let t_plain = measure(Pdp::with_adi(plain, b"k".to_vec(), seeded.clone()), &req, false);
-        let t_flat =
-            measure(Pdp::with_adi(with_msod.clone(), b"k".to_vec(), seeded.clone()), &req, true);
-        let t_idx = measure(
-            Pdp::with_adi(with_msod, b"k".to_vec(), msod::IndexedAdi::load(seeded.snapshot())),
+        let t_plain = measure(loaded(flat(plain), &records), &req, false);
+        let t_flat = measure(loaded(flat(with_msod.clone()), &records), &req, true);
+        let t_sym = measure(
+            loaded(DecisionService::new_symbolized(with_msod, b"k".to_vec()), &records),
             &req,
             true,
         );
-        println!("| {n:>11} | {t_plain:>10.2?} | {t_flat:>15.2?} | {t_idx:>18.2?} |");
+        println!("| {n:>11} | {t_plain:>10.2?} | {t_flat:>15.2?} | {t_sym:>21.2?} |");
     }
     println!();
 
@@ -242,11 +270,10 @@ fn e8_decision_latency() {
     // ~O(depth). The first-step-gated policy makes this probe
     // non-mutating.
     println!("E8b. First-request-in-new-context latency (context_active miss)");
-    println!("| ADI records | MSoD flat store | MSoD indexed store |");
-    println!("|-------------|-----------------|--------------------|");
+    println!("| ADI records | MSoD flat store | MSoD symbolized store |");
+    println!("|-------------|-----------------|-----------------------|");
     for n in [1_000usize, 10_000, 100_000] {
-        let mut seeded = MemoryAdi::new();
-        seed_adi(&mut seeded, &cfg, n, 7);
+        let records = seeded(n, None);
         let req = DecisionRequest::with_roles(
             "user0",
             vec![RoleRef::new("permisRole", "A0")],
@@ -258,14 +285,13 @@ fn e8_decision_latency() {
         let gated =
             policy::parse_rbac_policy(&workflow::scenarios::workload_policy_xml_first_step(&cfg))
                 .unwrap();
-        let t_flat =
-            measure(Pdp::with_adi(gated.clone(), b"k".to_vec(), seeded.clone()), &req, false);
-        let t_idx = measure(
-            Pdp::with_adi(gated, b"k".to_vec(), msod::IndexedAdi::load(seeded.snapshot())),
+        let t_flat = measure(loaded(flat(gated.clone()), &records), &req, false);
+        let t_sym = measure(
+            loaded(DecisionService::new_symbolized(gated, b"k".to_vec()), &records),
             &req,
             false,
         );
-        println!("| {n:>11} | {t_flat:>15.2?} | {t_idx:>18.2?} |");
+        println!("| {n:>11} | {t_flat:>15.2?} | {t_sym:>21.2?} |");
     }
     println!();
 }
@@ -287,14 +313,14 @@ fn e7_recovery_curve() {
         };
         let xml = workload_policy_xml(&cfg);
         {
-            let mut pdp = Pdp::from_xml(&xml, b"k".to_vec()).unwrap();
+            let pdp = DecisionService::from_xml_symbolized(&xml, b"k".to_vec()).unwrap();
             pdp.attach_store(audit::TrailStore::open(&dir).unwrap());
             for req in gen_requests(&cfg, 42) {
                 pdp.decide(&req);
             }
             pdp.rotate_and_persist().unwrap();
         }
-        let mut pdp = Pdp::from_xml(&xml, b"k".to_vec()).unwrap();
+        let pdp = DecisionService::from_xml_symbolized(&xml, b"k".to_vec()).unwrap();
         pdp.attach_store(audit::TrailStore::open(&dir).unwrap());
         let (report, dt) = time_it(|| pdp.recover(usize::MAX, 0).unwrap());
         println!("| {n:>16} | {dt:>13.2?} | {:>16} |", report.records_retained);
@@ -305,6 +331,7 @@ fn e7_recovery_curve() {
 
 /// E9 — backend ablation: startup cost trail-replay vs journal-open.
 fn e9_backend_ablation() {
+    const JOURNAL_SHARDS: usize = 4;
     println!("E9. Retained-ADI backend ablation (startup after N decisions)");
     println!("| decisions | trail replay (paper) | journal open (storage) |");
     println!("|-----------|----------------------|------------------------|");
@@ -321,29 +348,34 @@ fn e9_backend_ablation() {
         let dir = std::env::temp_dir().join(format!("exp-abl-{}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         {
-            let mut pdp = Pdp::from_xml(&xml, b"k".to_vec()).unwrap();
+            let pdp = DecisionService::from_xml_symbolized(&xml, b"k".to_vec()).unwrap();
             pdp.attach_store(audit::TrailStore::open(&dir).unwrap());
             for req in &requests {
                 pdp.decide(req);
             }
             pdp.rotate_and_persist().unwrap();
         }
-        let jpath = dir.join("adi.journal");
-        {
+        let jdir = dir.join("adi");
+        let open_journal = || {
             let p = policy::parse_rbac_policy(&xml).unwrap();
-            let mut pdp = Pdp::with_adi(p, b"k".to_vec(), PersistentAdi::open(&jpath).unwrap());
+            DecisionService::open_persistent(p, b"k".to_vec(), &jdir, JOURNAL_SHARDS).unwrap().0
+        };
+        {
+            let pdp = open_journal();
             for req in &requests {
                 pdp.decide(req);
             }
-            pdp.adi_backend_mut().compact().unwrap();
-            pdp.adi_backend_mut().sync().unwrap();
+            for i in 0..JOURNAL_SHARDS {
+                pdp.adi().with_shard(i, |shard| shard.compact()).unwrap();
+            }
+            pdp.sync_adi().unwrap();
         }
         let (_, t_replay) = time_it(|| {
-            let mut pdp = Pdp::from_xml(&xml, b"k".to_vec()).unwrap();
+            let pdp = DecisionService::from_xml_symbolized(&xml, b"k".to_vec()).unwrap();
             pdp.attach_store(audit::TrailStore::open(&dir).unwrap());
             pdp.recover(usize::MAX, 0).unwrap()
         });
-        let (_, t_journal) = time_it(|| PersistentAdi::open(&jpath).unwrap().len());
+        let (_, t_journal) = time_it(|| open_journal().adi().len());
         println!("| {n:>9} | {t_replay:>20.2?} | {t_journal:>22.2?} |");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -405,7 +437,7 @@ fn e11_state_growth() {
         terminate_percent: 10,
     };
     let xml = workload_policy_xml(&cfg);
-    let mut pdp = Pdp::from_xml(&xml, b"k".to_vec()).unwrap();
+    let pdp = DecisionService::from_xml_symbolized(&xml, b"k".to_vec()).unwrap();
     let mut anti = AntiRoleEnforcer::new();
     for i in 0..cfg.role_pairs {
         anti.add_rule(vec![

@@ -4,7 +4,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use msod::RoleRef;
-use permis::{DecisionRequest, Pdp};
+use permis::{DecisionRequest, DecisionService};
 
 const POLICY: &str = r#"<RBACPolicy id="quickstart" roleType="employee">
   <SOAPolicy><SOA dn="cn=HR, o=bank"/></SOAPolicy>
@@ -27,9 +27,10 @@ const POLICY: &str = r#"<RBACPolicy id="quickstart" roleType="employee">
 </RBACPolicy>"#;
 
 fn main() {
-    let mut pdp = Pdp::from_xml(POLICY, b"trail-key".to_vec()).expect("policy parses");
+    let pdp =
+        DecisionService::from_xml_symbolized(POLICY, b"trail-key".to_vec()).expect("policy parses");
 
-    let mut ask = |user: &str, role: &str, op: &str, target: &str, ctx: &str, ts: u64| {
+    let ask = |user: &str, role: &str, op: &str, target: &str, ctx: &str, ts: u64| {
         let outcome = pdp.decide(&DecisionRequest::with_roles(
             user,
             vec![RoleRef::new("employee", role)],
@@ -75,6 +76,9 @@ fn main() {
     assert!(ask("alice", "Auditor", "audit", "http://bank/books", "Branch=York, Period=2007", 900));
 
     println!("\nEvery decision is in the tamper-evident audit trail:");
-    pdp.trail().verify().expect("trail verifies");
-    println!("  {} records, hash chain + HMAC seal OK", pdp.trail().len());
+    let records = pdp.with_trail(|trail| {
+        trail.verify().expect("trail verifies");
+        trail.len()
+    });
+    println!("  {records} records, hash chain + HMAC seal OK");
 }

@@ -5,8 +5,7 @@
 //!
 //! Run with: `cargo run --example tax_refund`
 
-use msod::RetainedAdi;
-use permis::Pdp;
+use permis::DecisionService;
 use workflow::{AttemptOutcome, ProcessDefinition, ProcessRun, TAX_POLICY};
 
 fn show(run_name: &str, task: &str, user: &str, out: &AttemptOutcome) {
@@ -32,7 +31,8 @@ fn main() {
     println!("T1 prepare (clerk) -> T2 approve x2 (managers) ->");
     println!("T3 combine (different manager) -> T4 confirm (different clerk)\n");
 
-    let mut pdp = Pdp::from_xml(TAX_POLICY, b"tax-trail-key".to_vec()).expect("policy");
+    let pdp = DecisionService::from_xml_symbolized(TAX_POLICY, b"tax-trail-key".to_vec())
+        .expect("policy");
     let def = ProcessDefinition::tax_refund();
 
     let mut refund_a =
@@ -42,18 +42,18 @@ fn main() {
 
     println!("Two refunds run interleaved, across many user sessions:");
     let mut ts = 0u64;
-    let mut step = |run: &mut ProcessRun, name: &str, task: &str, user: &str, pdp: &mut Pdp| {
+    let mut step = |run: &mut ProcessRun, name: &str, task: &str, user: &str| {
         ts += 1;
-        let out = run.attempt(pdp, task, user, ts);
+        let out = run.attempt(&pdp, task, user, ts);
         show(name, task, user, &out);
         out
     };
 
-    step(&mut refund_a, "refund-A", "T1", "carol", &mut pdp);
-    step(&mut refund_b, "refund-B", "T1", "dora", &mut pdp);
+    step(&mut refund_a, "refund-A", "T1", "carol");
+    step(&mut refund_b, "refund-B", "T1", "dora");
 
     println!("\nManagers approve. mike tries to approve refund-A twice:");
-    step(&mut refund_a, "refund-A", "T2", "mike", &mut pdp);
+    step(&mut refund_a, "refund-A", "T2", "mike");
     // Direct PEP request — bypassing the engine — still denied by MSoD:
     let direct = permis::DecisionRequest::with_roles(
         "mike",
@@ -68,19 +68,19 @@ fn main() {
         "  refund-A: T2 by mike (bypassing the engine!) -> {}",
         if out.is_granted() { "GRANT" } else { "DENY (MSoD, not the engine, said no)" }
     );
-    step(&mut refund_a, "refund-A", "T2", "mary", &mut pdp);
-    step(&mut refund_b, "refund-B", "T2", "mike", &mut pdp); // other instance: fine
-    step(&mut refund_b, "refund-B", "T2", "mary", &mut pdp);
+    step(&mut refund_a, "refund-A", "T2", "mary");
+    step(&mut refund_b, "refund-B", "T2", "mike"); // other instance: fine
+    step(&mut refund_b, "refund-B", "T2", "mary");
 
     println!("\nCollecting the decisions (must be a third manager):");
-    step(&mut refund_a, "refund-A", "T3", "mike", &mut pdp);
-    step(&mut refund_a, "refund-A", "T3", "max", &mut pdp);
-    step(&mut refund_b, "refund-B", "T3", "max", &mut pdp);
+    step(&mut refund_a, "refund-A", "T3", "mike");
+    step(&mut refund_a, "refund-A", "T3", "max");
+    step(&mut refund_b, "refund-B", "T3", "max");
 
     println!("\nConfirming the checks (must differ from the preparer):");
-    step(&mut refund_a, "refund-A", "T4", "carol", &mut pdp);
-    step(&mut refund_a, "refund-A", "T4", "dora", &mut pdp);
-    step(&mut refund_b, "refund-B", "T4", "carol", &mut pdp);
+    step(&mut refund_a, "refund-A", "T4", "carol");
+    step(&mut refund_a, "refund-A", "T4", "dora");
+    step(&mut refund_b, "refund-B", "T4", "carol");
 
     assert!(refund_a.is_complete());
     assert!(refund_b.is_complete());

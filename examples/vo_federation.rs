@@ -5,9 +5,10 @@
 //! Run with: `cargo run --example vo_federation`
 
 use credential::{AliasLinker, Authority};
-use msod::{RetainedAdi, RoleRef};
+use msod::RoleRef;
 use permis::{
-    purge_scope, Credentials, DecisionRequest, ManagementOp, Pdp, RETAINED_ADI_CONTROLLER,
+    purge_scope, Credentials, DecisionRequest, DecisionService, ManagementOp,
+    RETAINED_ADI_CONTROLLER,
 };
 
 const POLICY: &str = r#"<RBACPolicy id="vo" roleType="voRole">
@@ -45,7 +46,7 @@ fn main() {
     println!("Rule: nobody may both analyse a trial's data and sit on its");
     println!("ethics review — whichever authority issued which role.\n");
 
-    let mut pdp = Pdp::from_xml(POLICY, b"vo-key".to_vec()).expect("policy");
+    let pdp = DecisionService::from_xml_symbolized(POLICY, b"vo-key".to_vec()).expect("policy");
 
     // Two real-world authorities plus the VO office, each with its own
     // signing key. No one of them sees the whole picture.
@@ -63,8 +64,7 @@ fn main() {
     linker.link("o=university", "uni-7f3a", "jones@vo");
     linker.link("o=hospital", "hosp-92c1", "jones@vo");
 
-    let ask = |pdp: &mut Pdp,
-               authority: &mut Authority,
+    let ask = |authority: &mut Authority,
                auth_name: &str,
                alias: &str,
                linker: &AliasLinker,
@@ -94,7 +94,6 @@ fn main() {
 
     println!("Dr Jones analyses trial T1 with her university identity:");
     assert!(ask(
-        &mut pdp,
         &mut university,
         "o=university",
         "uni-7f3a",
@@ -108,7 +107,6 @@ fn main() {
     println!("\nMonths later the hospital nominates 'hosp-92c1' (also Dr Jones)");
     println!("to the ethics review of the SAME trial. Alias linking exposes her:");
     assert!(!ask(
-        &mut pdp,
         &mut hospital,
         "o=hospital",
         "hosp-92c1",
@@ -121,7 +119,6 @@ fn main() {
 
     println!("\nShe may review a DIFFERENT trial (per-instance scope):");
     assert!(ask(
-        &mut pdp,
         &mut hospital,
         "o=hospital",
         "hosp-92c1",
@@ -135,7 +132,6 @@ fn main() {
     println!("\nThe role hierarchy works federatedly too: a PI outranks a");
     println!("Researcher, so a hospital PI can analyse:");
     assert!(ask(
-        &mut pdp,
         &mut hospital,
         "o=hospital",
         "hosp-0001",
@@ -169,7 +165,6 @@ fn main() {
 
     println!("\nWith T1 closed, Dr Jones may join its (re-run) ethics review:");
     assert!(ask(
-        &mut pdp,
         &mut hospital,
         "o=hospital",
         "hosp-92c1",
@@ -180,7 +175,10 @@ fn main() {
         500
     ));
 
-    pdp.trail().verify().expect("trail verifies");
-    println!("\nAudit trail: {} records — every grant, denial and management", pdp.trail().len());
+    let records = pdp.with_trail(|trail| {
+        trail.verify().expect("trail verifies");
+        trail.len()
+    });
+    println!("\nAudit trail: {records} records — every grant, denial and management");
     println!("action across all three authorities, tamper-evident.");
 }

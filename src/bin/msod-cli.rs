@@ -47,7 +47,7 @@ use std::process::ExitCode;
 use msod_rbac::msod::RoleRef;
 use msod_rbac::net;
 use msod_rbac::obs::validate_metrics_text;
-use msod_rbac::permis::{DecisionRequest, DecisionService, Pdp};
+use msod_rbac::permis::{DecisionRequest, DecisionService};
 use msod_rbac::policy;
 
 fn main() -> ExitCode {
@@ -192,12 +192,10 @@ fn build_request(line: &ScriptLine, role_type: &str, no: usize) -> Result<Decisi
 }
 
 fn cmd_decide(policy_path: &str, script_path: &str) -> Result<(), String> {
-    let xml =
-        std::fs::read_to_string(policy_path).map_err(|e| format!("reading {policy_path}: {e}"))?;
+    let pdp = load_service(policy_path)?;
     let script =
         std::fs::read_to_string(script_path).map_err(|e| format!("reading {script_path}: {e}"))?;
-    let mut pdp = Pdp::from_xml(&xml, b"msod-cli-trail-key".to_vec()).map_err(|e| e.to_string())?;
-    let role_type = pdp.policy().role_type.clone();
+    let role_type = pdp.core().policy().role_type.clone();
 
     println!(
         "| {:>4} | {:<12} | {:<22} | {:<14} | {:<28} | out   |",
@@ -228,20 +226,14 @@ fn cmd_decide(policy_path: &str, script_path: &str) -> Result<(), String> {
             line.context,
         );
     }
-    println!("\n{grants} granted, {denies} denied; retained ADI: {} record(s)", {
-        use msod_rbac::msod::RetainedAdi;
-        pdp.adi().len()
-    });
-    pdp.trail().verify().map_err(|e| e.to_string())?;
-    println!("audit trail: {} record(s), verified", pdp.trail().len());
+    println!("\n{grants} granted, {denies} denied; retained ADI: {} record(s)", pdp.adi().len());
+    let audit_records = pdp.with_trail(|t| t.verify().map(|()| t.len()));
+    println!("audit trail: {} record(s), verified", audit_records.map_err(|e| e.to_string())?);
     Ok(())
 }
 
-/// The symbolized service the provenance commands run against.
-type SymService = DecisionService<msod_rbac::msod::SymAdi>;
-
-/// Build the symbolized two-plane service from a policy file.
-fn load_symbolized(policy_path: &str) -> Result<SymService, String> {
+/// Build the decision service from a policy file.
+fn load_service(policy_path: &str) -> Result<DecisionService, String> {
     let xml =
         std::fs::read_to_string(policy_path).map_err(|e| format!("reading {policy_path}: {e}"))?;
     DecisionService::from_xml_symbolized(&xml, b"msod-cli-trail-key".to_vec())
@@ -251,9 +243,9 @@ fn load_symbolized(policy_path: &str) -> Result<SymService, String> {
 /// Replay a script through `svc`, calling `visit` with the live
 /// service, each parsed line, and its explained outcome.
 fn run_script(
-    svc: &SymService,
+    svc: &DecisionService,
     script: &str,
-    mut visit: impl FnMut(&SymService, &ScriptLine, &msod_rbac::permis::Explanation),
+    mut visit: impl FnMut(&DecisionService, &ScriptLine, &msod_rbac::permis::Explanation),
 ) -> Result<(), String> {
     let role_type = svc.core().policy().role_type.clone();
     for (no, raw) in script.lines().enumerate() {
@@ -271,11 +263,11 @@ fn run_script(
 fn replay_explained(
     policy_path: &str,
     script_path: &str,
-    visit: impl FnMut(&SymService, &ScriptLine, &msod_rbac::permis::Explanation),
-) -> Result<SymService, String> {
+    visit: impl FnMut(&DecisionService, &ScriptLine, &msod_rbac::permis::Explanation),
+) -> Result<DecisionService, String> {
     let script =
         std::fs::read_to_string(script_path).map_err(|e| format!("reading {script_path}: {e}"))?;
-    let svc = load_symbolized(policy_path)?;
+    let svc = load_service(policy_path)?;
     run_script(&svc, &script, visit)?;
     Ok(svc)
 }
@@ -361,7 +353,7 @@ fn cmd_flightrec_dump(policy_path: &str, script_path: &str, dir: &str) -> Result
     }
     let script =
         std::fs::read_to_string(script_path).map_err(|e| format!("reading {script_path}: {e}"))?;
-    let svc = load_symbolized(policy_path)?;
+    let svc = load_service(policy_path)?;
     svc.set_flight_dir(Some(std::path::PathBuf::from(dir)));
     run_script(&svc, &script, |_, _, _| {})?;
     let table = svc.symbol_table().clone();
@@ -410,7 +402,7 @@ fn cmd_metrics_watch(
 ) -> Result<(), String> {
     let script =
         std::fs::read_to_string(script_path).map_err(|e| format!("reading {script_path}: {e}"))?;
-    let svc = load_symbolized(policy_path)?;
+    let svc = load_service(policy_path)?;
     let mut pass = 0u64;
     loop {
         run_script(&svc, &script, |_, _, _| {})?;
@@ -438,12 +430,9 @@ fn cmd_metrics_watch(
 /// document followed by the decision-trace ring — including the
 /// stable "why was this denied?" explanation for every deny.
 fn cmd_metrics(policy_path: &str, script_path: &str) -> Result<(), String> {
-    let xml =
-        std::fs::read_to_string(policy_path).map_err(|e| format!("reading {policy_path}: {e}"))?;
+    let svc = load_service(policy_path)?;
     let script =
         std::fs::read_to_string(script_path).map_err(|e| format!("reading {script_path}: {e}"))?;
-    let svc = DecisionService::from_xml(&xml, b"msod-cli-trail-key".to_vec())
-        .map_err(|e| e.to_string())?;
     svc.metrics().set_trace_grants(true);
     let role_type = svc.core().policy().role_type.clone();
 

@@ -21,6 +21,8 @@ pub use xmlkit;
 pub mod prelude {
     pub use context::{ContextInstance, ContextName};
     pub use msod::{MsodDecision, MsodEngine, RetainedAdi, RoleRef};
-    pub use permis::{Credentials, DecisionOutcome, DecisionRequest, DenyReason, Pdp, Pep};
+    pub use permis::{
+        Credentials, DecisionOutcome, DecisionRequest, DecisionService, DenyReason, Pep,
+    };
     pub use policy::{parse_msod_policy_set, parse_rbac_policy, PdpPolicy};
 }

@@ -126,7 +126,7 @@ fn msod_closes_the_multi_session_gap() {
 /// sessions by user ID (§2.1's "partially discloses his roles").
 #[test]
 fn msod_defeats_partial_disclosure() {
-    use permis::{Credentials, DecisionRequest, Pdp};
+    use permis::{Credentials, DecisionRequest, DecisionService};
 
     let policy_xml = r#"<RBACPolicy id="vo" roleType="employee">
   <SOAPolicy><SOA dn="cn=A"/><SOA dn="cn=B"/></SOAPolicy>
@@ -144,7 +144,7 @@ fn msod_defeats_partial_disclosure() {
     </MSoDPolicy>
   </MSoDPolicySet>
 </RBACPolicy>"#;
-    let mut pdp = Pdp::from_xml(policy_xml, b"k".to_vec()).unwrap();
+    let pdp = DecisionService::from_xml_symbolized(policy_xml, b"k".to_vec()).unwrap();
     // Two independent authorities, each issuing one role.
     let mut auth_a = credential::Authority::new("cn=A", b"ka".to_vec());
     let mut auth_b = credential::Authority::new("cn=B", b"kb".to_vec());

@@ -4,8 +4,8 @@
 //! enforcer [18]. Each test pins one cell of the expressiveness matrix
 //! recorded in EXPERIMENTS.md.
 
-use msod::{RetainedAdi, RoleRef};
-use permis::{DecisionRequest, Pdp};
+use msod::RoleRef;
+use permis::{DecisionRequest, DecisionService};
 use workflow::{
     AntiRoleEnforcer, Assignment, BertinoPlanner, ProcessDefinition, ProcessRun, TAX_POLICY,
 };
@@ -19,7 +19,7 @@ fn rr(v: &str) -> RoleRef {
 #[test]
 fn both_enforce_the_workflow_example() {
     // MSoD side.
-    let mut pdp = Pdp::from_xml(TAX_POLICY, b"k".to_vec()).unwrap();
+    let pdp = DecisionService::from_xml_symbolized(TAX_POLICY, b"k".to_vec()).unwrap();
     let mut run = ProcessRun::new(
         ProcessDefinition::tax_refund(),
         "TaxOffice=Kent, taxRefundProcess=1".parse().unwrap(),
@@ -46,7 +46,7 @@ fn both_enforce_the_workflow_example() {
         ("T4", "chris", true),
     ];
     for (ts, (task, user, expect)) in script.iter().enumerate() {
-        let msod_says = run.attempt(&mut pdp, task, user, ts as u64).is_granted();
+        let msod_says = run.attempt(&pdp, task, user, ts as u64).is_granted();
         let bertino_says = planner.authorize(&assignment, task, user);
         assert_eq!(msod_says, *expect, "MSoD at {task}/{user}");
         assert_eq!(bertino_says, *expect, "Bertino at {task}/{user}");
@@ -78,8 +78,8 @@ fn bertino_cannot_express_nonworkflow_sod() {
     </MSoDPolicy>
   </MSoDPolicySet>
 </RBACPolicy>"#;
-    let mut pdp = Pdp::from_xml(policy, b"k".to_vec()).unwrap();
-    let act = |pdp: &mut Pdp, role: &str, ts: u64| {
+    let pdp = DecisionService::from_xml_symbolized(policy, b"k".to_vec()).unwrap();
+    let act = |pdp: &DecisionService, role: &str, ts: u64| {
         pdp.decide(&DecisionRequest::with_roles(
             "alice",
             vec![rr(role)],
@@ -90,8 +90,8 @@ fn bertino_cannot_express_nonworkflow_sod() {
         ))
         .is_granted()
     };
-    assert!(act(&mut pdp, "Teller", 1));
-    assert!(!act(&mut pdp, "Auditor", 2));
+    assert!(act(&pdp, "Teller", 1));
+    assert!(!act(&pdp, "Auditor", 2));
 
     // The Bertino planner has no notion of an operation outside a
     // pre-declared workflow task: an unknown task is unanswerable
@@ -130,7 +130,7 @@ fn bertino_requires_central_knowledge_msod_does_not() {
     // MSoD: carol presents her externally-issued Manager role; the PDP
     // never knew her full role set, yet the per-instance MMEP still
     // applies to whatever she *does*.
-    let mut pdp = Pdp::from_xml(TAX_POLICY, b"k".to_vec()).unwrap();
+    let pdp = DecisionService::from_xml_symbolized(TAX_POLICY, b"k".to_vec()).unwrap();
     let ctx: context::ContextInstance = "TaxOffice=Kent, taxRefundProcess=1".parse().unwrap();
     assert!(pdp
         .decide(&DecisionRequest::with_roles(
@@ -211,8 +211,8 @@ fn antirole_purge_is_unscoped_msod_purge_is_exact() {
     </MSoDPolicy>
   </MSoDPolicySet>
 </RBACPolicy>"#;
-    let mut pdp = Pdp::from_xml(policy, b"k".to_vec()).unwrap();
-    let act = |pdp: &mut Pdp, user: &str, role: &str, op: &str, ctx: &str, ts: u64| {
+    let pdp = DecisionService::from_xml_symbolized(policy, b"k".to_vec()).unwrap();
+    let act = |pdp: &DecisionService, user: &str, role: &str, op: &str, ctx: &str, ts: u64| {
         pdp.decide(&DecisionRequest::with_roles(
             user,
             vec![rr(role)],
@@ -223,13 +223,13 @@ fn antirole_purge_is_unscoped_msod_purge_is_exact() {
         ))
         .is_granted()
     };
-    assert!(act(&mut pdp, "alice", "Teller", "work", "Period=2006", 1));
-    assert!(act(&mut pdp, "carol", "Preparer", "work", "Refund=77", 2));
+    assert!(act(&pdp, "alice", "Teller", "work", "Period=2006", 1));
+    assert!(act(&pdp, "carol", "Preparer", "work", "Refund=77", 2));
     // Commit the audit: the Period context is flushed...
-    assert!(act(&mut pdp, "zoe", "Auditor", "CommitAudit", "Period=2006", 3));
-    assert!(act(&mut pdp, "alice", "Auditor", "work", "Period=2006", 4));
+    assert!(act(&pdp, "zoe", "Auditor", "CommitAudit", "Period=2006", 3));
+    assert!(act(&pdp, "alice", "Auditor", "work", "Period=2006", 4));
     // ...while carol's live refund constraint is untouched.
-    assert!(!act(&mut pdp, "carol", "Confirmer", "work", "Refund=77", 5));
+    assert!(!act(&pdp, "carol", "Confirmer", "work", "Refund=77", 5));
 }
 
 /// Cell 5 — anti-roles cannot express m-out-of-n (m > 2); MSoD can.
@@ -260,8 +260,8 @@ fn antirole_cannot_do_m_of_n() {
     </MSoDPolicy>
   </MSoDPolicySet>
 </RBACPolicy>"#;
-    let mut pdp = Pdp::from_xml(policy, b"k".to_vec()).unwrap();
-    let act = |pdp: &mut Pdp, role: &str, ts: u64| {
+    let pdp = DecisionService::from_xml_symbolized(policy, b"k".to_vec()).unwrap();
+    let act = |pdp: &DecisionService, role: &str, ts: u64| {
         pdp.decide(&DecisionRequest::with_roles(
             "u",
             vec![rr(role)],
@@ -272,9 +272,9 @@ fn antirole_cannot_do_m_of_n() {
         ))
         .is_granted()
     };
-    assert!(act(&mut pdp, "A", 1));
-    assert!(act(&mut pdp, "B", 2), "two of three is allowed at m=3");
-    assert!(!act(&mut pdp, "C", 3), "the third is forbidden");
+    assert!(act(&pdp, "A", 1));
+    assert!(act(&pdp, "B", 2), "two of three is allowed at m=3");
+    assert!(!act(&pdp, "C", 3), "the third is forbidden");
 }
 
 /// Blacklist growth (E11's correctness side): anti-role state grows
@@ -298,8 +298,11 @@ fn state_growth_profiles_differ() {
         requests: 400,
         terminate_percent: 20, // frequent last steps
     };
-    let mut pdp =
-        Pdp::from_xml(&workflow::scenarios::workload_policy_xml(&cfg), b"k".to_vec()).unwrap();
+    let pdp = DecisionService::from_xml_symbolized(
+        &workflow::scenarios::workload_policy_xml(&cfg),
+        b"k".to_vec(),
+    )
+    .unwrap();
     let mut max_adi = 0usize;
     for req in workflow::scenarios::gen_requests(&cfg, 5) {
         pdp.decide(&req);

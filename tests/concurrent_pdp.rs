@@ -91,7 +91,7 @@ fn assert_seq_contiguous(service: &DecisionService, expected_total: usize) {
 
 #[test]
 fn hammered_lock_free_decide_preserves_invariants() {
-    let service = Arc::new(DecisionService::from_xml(POLICY, b"k".to_vec()).unwrap());
+    let service = Arc::new(DecisionService::from_xml_symbolized(POLICY, b"k".to_vec()).unwrap());
     let threads = 8;
     let per_thread = 200;
 
@@ -130,8 +130,9 @@ fn fast_and_exclusive_paths_interleave_safely() {
     // the same contexts. Terminations purge across all shards; whatever
     // history remains must still satisfy the invariant and the trail
     // must stay verifiable (grants plus context-terminated events).
-    let service =
-        Arc::new(DecisionService::from_xml(POLICY_WITH_LAST_STEP, b"k".to_vec()).unwrap());
+    let service = Arc::new(
+        DecisionService::from_xml_symbolized(POLICY_WITH_LAST_STEP, b"k".to_vec()).unwrap(),
+    );
     let threads = 8;
     let per_thread = 150;
 
@@ -171,9 +172,8 @@ fn concurrent_peps_share_history() {
     // Multiple PEP gateways (one per thread) over one decision service:
     // the MSoD invariant must hold across gateways, because history
     // lives in the shared service.
-    let service = Arc::new(DecisionService::from_xml(POLICY, b"k".to_vec()).unwrap());
-    let peps: Vec<permis::Pep<msod::IndexedAdi>> =
-        (0..4).map(|_| permis::Pep::new(Arc::clone(&service))).collect();
+    let service = Arc::new(DecisionService::from_xml_symbolized(POLICY, b"k".to_vec()).unwrap());
+    let peps: Vec<permis::Pep> = (0..4).map(|_| permis::Pep::new(Arc::clone(&service))).collect();
     for pep in &peps {
         pep.open_context("Proc=1".parse().unwrap());
     }
@@ -224,7 +224,7 @@ fn hammered_service_matches_oracle_replay() {
     // one record and nothing purges, so the grants commute and the
     // audit serialization is a faithful witness of the final state no
     // matter how the threads interleaved.
-    let service = Arc::new(DecisionService::from_xml(POLICY, b"k".to_vec()).unwrap());
+    let service = Arc::new(DecisionService::from_xml_symbolized(POLICY, b"k".to_vec()).unwrap());
     let threads = 8;
     let per_thread = 200;
 
@@ -316,7 +316,7 @@ fn concurrent_rotation_and_decisions() {
     // Decisions racing trail rotations from another thread — both via
     // &self, no outer lock: all records survive into some segment, the
     // chain verifies, seq numbers stay contiguous across segments.
-    let service = Arc::new(DecisionService::from_xml(POLICY, b"k".to_vec()).unwrap());
+    let service = Arc::new(DecisionService::from_xml_symbolized(POLICY, b"k".to_vec()).unwrap());
     std::thread::scope(|s| {
         {
             let service = Arc::clone(&service);

@@ -8,7 +8,7 @@
 //! - `Branch=York, Period=!` — the York branch only.
 
 use msod::RoleRef;
-use permis::{DecisionRequest, Pdp};
+use permis::{DecisionRequest, DecisionService};
 
 fn policy_with_scope(scope: &str) -> String {
     format!(
@@ -31,7 +31,11 @@ fn policy_with_scope(scope: &str) -> String {
     )
 }
 
-fn act(pdp: &mut Pdp, user: &str, role: &str, branch: &str, period: &str, ts: u64) -> bool {
+fn pdp_with_scope(scope: &str) -> DecisionService {
+    DecisionService::from_xml_symbolized(&policy_with_scope(scope), b"k".to_vec()).unwrap()
+}
+
+fn act(pdp: &DecisionService, user: &str, role: &str, branch: &str, period: &str, ts: u64) -> bool {
     pdp.decide(&DecisionRequest::with_roles(
         user,
         vec![RoleRef::new("employee", role)],
@@ -45,37 +49,36 @@ fn act(pdp: &mut Pdp, user: &str, role: &str, branch: &str, period: &str, ts: u6
 
 #[test]
 fn star_scope_spans_all_branches() {
-    let mut pdp = Pdp::from_xml(&policy_with_scope("Branch=*, Period=!"), b"k".to_vec()).unwrap();
-    assert!(act(&mut pdp, "alice", "Teller", "York", "2006", 1));
+    let pdp = pdp_with_scope("Branch=*, Period=!");
+    assert!(act(&pdp, "alice", "Teller", "York", "2006", 1));
     // Conflicts bind across every branch within the period...
-    assert!(!act(&mut pdp, "alice", "Auditor", "York", "2006", 2));
-    assert!(!act(&mut pdp, "alice", "Auditor", "Leeds", "2006", 3));
-    assert!(!act(&mut pdp, "alice", "Auditor", "Hull", "2006", 4));
+    assert!(!act(&pdp, "alice", "Auditor", "York", "2006", 2));
+    assert!(!act(&pdp, "alice", "Auditor", "Leeds", "2006", 3));
+    assert!(!act(&pdp, "alice", "Auditor", "Hull", "2006", 4));
     // ...but not across periods.
-    assert!(act(&mut pdp, "alice", "Auditor", "Leeds", "2007", 5));
+    assert!(act(&pdp, "alice", "Auditor", "Leeds", "2007", 5));
 }
 
 #[test]
 fn bang_scope_is_per_branch() {
-    let mut pdp = Pdp::from_xml(&policy_with_scope("Branch=!, Period=!"), b"k".to_vec()).unwrap();
-    assert!(act(&mut pdp, "alice", "Teller", "York", "2006", 1));
+    let pdp = pdp_with_scope("Branch=!, Period=!");
+    assert!(act(&pdp, "alice", "Teller", "York", "2006", 1));
     // Same branch: conflict.
-    assert!(!act(&mut pdp, "alice", "Auditor", "York", "2006", 2));
+    assert!(!act(&pdp, "alice", "Auditor", "York", "2006", 2));
     // "an employee could be a teller in one branch and an auditor in
     // another branch".
-    assert!(act(&mut pdp, "alice", "Auditor", "Leeds", "2006", 3));
+    assert!(act(&pdp, "alice", "Auditor", "Leeds", "2006", 3));
 }
 
 #[test]
 fn literal_scope_only_names_york() {
-    let mut pdp =
-        Pdp::from_xml(&policy_with_scope("Branch=York, Period=!"), b"k".to_vec()).unwrap();
-    assert!(act(&mut pdp, "alice", "Teller", "York", "2006", 1));
-    assert!(!act(&mut pdp, "alice", "Auditor", "York", "2006", 2));
+    let pdp = pdp_with_scope("Branch=York, Period=!");
+    assert!(act(&pdp, "alice", "Teller", "York", "2006", 1));
+    assert!(!act(&pdp, "alice", "Auditor", "York", "2006", 2));
     // Other branches are entirely unconstrained: both roles, same
     // period.
-    assert!(act(&mut pdp, "alice", "Teller", "Leeds", "2006", 3));
-    assert!(act(&mut pdp, "alice", "Auditor", "Leeds", "2006", 4));
+    assert!(act(&pdp, "alice", "Teller", "Leeds", "2006", 3));
+    assert!(act(&pdp, "alice", "Auditor", "Leeds", "2006", 4));
 }
 
 /// "all contexts which are equal or subordinate to the context in the
@@ -83,8 +86,8 @@ fn literal_scope_only_names_york() {
 /// deeper instances (e.g. a desk within a branch) still match.
 #[test]
 fn subordinate_contexts_inherit_the_rule() {
-    let mut pdp = Pdp::from_xml(&policy_with_scope("Branch=*, Period=!"), b"k".to_vec()).unwrap();
-    let deep = |pdp: &mut Pdp, user: &str, role: &str, desk: &str, ts| {
+    let pdp = pdp_with_scope("Branch=*, Period=!");
+    let deep = |pdp: &DecisionService, user: &str, role: &str, desk: &str, ts| {
         pdp.decide(&DecisionRequest::with_roles(
             user,
             vec![RoleRef::new("employee", role)],
@@ -95,10 +98,10 @@ fn subordinate_contexts_inherit_the_rule() {
         ))
         .is_granted()
     };
-    assert!(deep(&mut pdp, "alice", "Teller", "3", 1));
+    assert!(deep(&pdp, "alice", "Teller", "3", 1));
     // Conflict visible from a different desk, and from the branch level.
-    assert!(!deep(&mut pdp, "alice", "Auditor", "7", 2));
-    assert!(!act(&mut pdp, "alice", "Auditor", "Leeds", "2006", 3));
+    assert!(!deep(&pdp, "alice", "Auditor", "7", 2));
+    assert!(!act(&pdp, "alice", "Auditor", "Leeds", "2006", 3));
 }
 
 /// Footnote 2 of the paper: contexts *superior* to the policy context
@@ -106,8 +109,8 @@ fn subordinate_contexts_inherit_the_rule() {
 /// period) does not match a `Branch=*, Period=!` policy.
 #[test]
 fn superior_contexts_unconstrained() {
-    let mut pdp = Pdp::from_xml(&policy_with_scope("Branch=*, Period=!"), b"k".to_vec()).unwrap();
-    let shallow = |pdp: &mut Pdp, role: &str, ts| {
+    let pdp = pdp_with_scope("Branch=*, Period=!");
+    let shallow = |pdp: &DecisionService, role: &str, ts| {
         pdp.decide(&DecisionRequest::with_roles(
             "alice",
             vec![RoleRef::new("employee", role)],
@@ -118,17 +121,17 @@ fn superior_contexts_unconstrained() {
         ))
         .is_granted()
     };
-    assert!(shallow(&mut pdp, "Teller", 1));
-    assert!(shallow(&mut pdp, "Auditor", 2), "no period component: policy does not apply");
+    assert!(shallow(&pdp, "Teller", 1));
+    assert!(shallow(&pdp, "Auditor", 2), "no period component: policy does not apply");
 }
 
 /// The universal context (empty policy scope) constrains everything the
 /// organisation does.
 #[test]
 fn universal_scope_constrains_everything() {
-    let mut pdp = Pdp::from_xml(&policy_with_scope(""), b"k".to_vec()).unwrap();
-    assert!(act(&mut pdp, "alice", "Teller", "York", "2006", 1));
-    assert!(!act(&mut pdp, "alice", "Auditor", "Leeds", "2099", 2));
+    let pdp = pdp_with_scope("");
+    assert!(act(&pdp, "alice", "Teller", "York", "2006", 1));
+    assert!(!act(&pdp, "alice", "Auditor", "Leeds", "2099", 2));
     // Even a completely different context shape is covered.
     let other = pdp.decide(&DecisionRequest::with_roles(
         "alice",

@@ -1,14 +1,15 @@
 //! Pins `DecisionService::decide_many`'s contract: a batch is
 //! **semantically identical** to issuing the same requests one at a
 //! time, in order — including earlier records in a batch changing the
-//! MMER/MMEP outcome of later same-user requests — across the indexed,
-//! symbolized and persistent service flavors. The batch only amortises
+//! MMER/MMEP outcome of later same-user requests — across the
+//! symbolized and persistent services and the string engine over the
+//! reference store. The batch only amortises
 //! mechanics (core snapshot, admission scratch); it must never change
 //! a verdict or the retained ADI.
 
-use msod_rbac::msod::{AdiRecord, RetainedAdi, RoleRef};
+use msod_rbac::msod::{AdiRecord, MemoryAdi, RetainedAdi, RoleRef};
 use msod_rbac::permis::{DecisionOutcome, DecisionRequest, DecisionService};
-use msod_rbac::policy::parse_rbac_policy;
+use msod_rbac::policy::{parse_rbac_policy, PdpPolicy};
 
 const POLICY: &str = r#"<RBACPolicy id="batch" roleType="permisRole">
   <SOAPolicy><SOA dn="cn=SOA"/></SOAPolicy>
@@ -62,6 +63,12 @@ fn entangled_traffic() -> Vec<DecisionRequest> {
     ]
 }
 
+/// The string engine over the reference store, one record list per
+/// shard: the ground truth the symbol plane is compared against.
+fn reference(policy: PdpPolicy, trail_key: &[u8]) -> DecisionService<MemoryAdi> {
+    DecisionService::with_shard_count(policy, trail_key.to_vec(), msod_rbac::msod::DEFAULT_SHARDS)
+}
+
 fn sorted_snapshot<A: RetainedAdi + 'static>(svc: &DecisionService<A>) -> Vec<AdiRecord> {
     let mut snap = svc.adi().snapshot();
     snap.sort_by(|a, b| (a.timestamp, &a.user).cmp(&(b.timestamp, &b.user)));
@@ -92,10 +99,10 @@ fn assert_batch_equals_sequential<A, B>(
 }
 
 #[test]
-fn batch_equals_sequential_indexed() {
+fn batch_equals_sequential_reference() {
     let policy = parse_rbac_policy(POLICY).unwrap();
-    let batch_svc = DecisionService::new(policy.clone(), b"batch".to_vec());
-    let seq_svc = DecisionService::new(policy, b"seq".to_vec());
+    let batch_svc = reference(policy.clone(), b"batch");
+    let seq_svc = reference(policy, b"seq");
     assert_batch_equals_sequential(&batch_svc, &seq_svc);
 }
 
@@ -108,13 +115,13 @@ fn batch_equals_sequential_symbolized() {
 }
 
 #[test]
-fn batch_on_symbolized_equals_sequential_on_indexed() {
+fn batch_on_symbolized_equals_sequential_on_reference() {
     // Cross-flavor: the symbolized batch path (shared ReqBufs /
     // MatchedBuf scratch across the batch) must agree with the plain
-    // indexed string engine run one request at a time.
+    // string engine over the reference store run one request at a time.
     let policy = parse_rbac_policy(POLICY).unwrap();
     let batch_svc = DecisionService::new_symbolized(policy.clone(), b"batch".to_vec());
-    let seq_svc = DecisionService::new(policy, b"seq".to_vec());
+    let seq_svc = reference(policy, b"seq");
     assert_batch_equals_sequential(&batch_svc, &seq_svc);
 }
 
@@ -138,7 +145,7 @@ fn batch_equals_sequential_persistent() {
 
 #[test]
 fn empty_and_singleton_batches() {
-    let svc = DecisionService::from_xml(POLICY, b"edge".to_vec()).unwrap();
+    let svc = DecisionService::from_xml_symbolized(POLICY, b"edge".to_vec()).unwrap();
     assert!(svc.decide_many(&[]).is_empty());
     let one = svc.decide_many(&[work("u1", "Member", "1", 1)]);
     assert_eq!(one.len(), 1);
@@ -185,7 +192,7 @@ fn crash_mid_batch_recovers_a_strict_prefix() {
     assert!(total > 0, "the batch must journal something");
 
     // The sequential ground truth: retained state after each prefix.
-    let seq_svc = DecisionService::new(policy.clone(), b"seq".to_vec());
+    let seq_svc = reference(policy.clone(), b"seq");
     let mut prefixes: Vec<Vec<AdiRecord>> = vec![sorted_snapshot(&seq_svc)];
     for req in &traffic {
         seq_svc.decide(req);
@@ -223,7 +230,7 @@ fn crash_mid_batch_recovers_a_strict_prefix() {
 
 #[test]
 fn batch_metrics_are_recorded() {
-    let svc = DecisionService::from_xml(POLICY, b"metrics".to_vec()).unwrap();
+    let svc = DecisionService::from_xml_symbolized(POLICY, b"metrics".to_vec()).unwrap();
     svc.decide_many(&entangled_traffic());
     svc.decide_many(&[work("u9", "Member", "9", 100)]);
     let text = svc.metrics_text();

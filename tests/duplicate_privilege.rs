@@ -3,11 +3,12 @@
 //! allowed per business-context instance and the duplicate demands a
 //! genuine repeat — plus its interaction with purge-on-last-step.
 //!
-//! Exercised at both layers: the monolithic `Pdp` and the shared-read
-//! `DecisionService` must agree on every verdict.
+//! Exercised on both engines of the one `DecisionService` pipeline: the
+//! symbolized fast path and the string engine over the reference
+//! `MemoryAdi` must agree on every verdict.
 
-use msod::{ConstraintKind, RoleRef};
-use permis::{DecisionOutcome, DecisionRequest, DecisionService, DenyReason, Pdp};
+use msod::{ConstraintKind, MemoryAdi, RoleRef};
+use permis::{DecisionOutcome, DecisionRequest, DecisionService, DenyReason};
 
 /// MMEP {approve@check, approve@check} m=2 — "the same manager may
 /// approve a check at most once per process instance".
@@ -96,21 +97,23 @@ fn assert_mmep_deny(out: &DecisionOutcome, current: usize, historic: usize, m: u
     }
 }
 
-/// Run one scenario against both layers; the closure gets a decide
+/// Run one scenario on both engines; the closure gets a decide
 /// function so the assertions are written once.
-fn at_both_layers(
+fn on_both_engines(
     xml: &str,
     scenario: impl Fn(&mut dyn FnMut(DecisionRequest) -> DecisionOutcome),
 ) {
-    let mut pdp = Pdp::from_xml(xml, b"k".to_vec()).unwrap();
-    scenario(&mut |r| pdp.decide(&r));
-    let service = DecisionService::from_xml(xml, b"k".to_vec()).unwrap();
-    scenario(&mut |r| service.decide(&r));
+    let symbolized = DecisionService::from_xml_symbolized(xml, b"k".to_vec()).unwrap();
+    scenario(&mut |r| symbolized.decide(&r));
+    let policy = policy::parse_rbac_policy(xml).unwrap();
+    let reference =
+        DecisionService::<MemoryAdi>::with_shard_count(policy, b"k".to_vec(), msod::DEFAULT_SHARDS);
+    scenario(&mut |r| reference.decide(&r));
 }
 
 #[test]
 fn duplicate_entry_allows_one_exercise_per_instance() {
-    at_both_layers(DUP_POLICY, |decide| {
+    on_both_engines(DUP_POLICY, |decide| {
         // First approval consumes one of the two entries: 1 < 2.
         assert!(decide(req("mike", "approve", "check", "Proc=1", 1)).is_granted());
         // The duplicate demands a *repeat* by the same user in the same
@@ -128,7 +131,7 @@ fn duplicate_entry_allows_one_exercise_per_instance() {
 
 #[test]
 fn triple_multiset_needs_every_copy_exercised() {
-    at_both_layers(TRIPLE_POLICY, |decide| {
+    on_both_engines(TRIPLE_POLICY, |decide| {
         // approve, approve: the two historic approvals can only satisfy
         // ONE remaining approve entry each time — q (ship) is never
         // exercised, so the multiset {approve, approve, ship} is never
@@ -149,7 +152,7 @@ fn triple_multiset_needs_every_copy_exercised() {
 
 #[test]
 fn last_step_purge_resets_the_duplicate_count() {
-    at_both_layers(DUP_POLICY_LAST_STEP, |decide| {
+    on_both_engines(DUP_POLICY_LAST_STEP, |decide| {
         assert!(decide(req("mike", "approve", "check", "Proc=1", 1)).is_granted());
         assert_mmep_deny(&decide(req("mike", "approve", "check", "Proc=1", 2)), 1, 1, 2);
         // The granted last step terminates Proc=1 and purges its

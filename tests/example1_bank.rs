@@ -4,8 +4,8 @@
 //! decision-by-decision across branches, sessions and audit periods.
 
 use credential::Authority;
-use msod::{RetainedAdi, RoleRef};
-use permis::{Credentials, DecisionRequest, DenyReason, Pdp};
+use msod::RoleRef;
+use permis::{Credentials, DecisionRequest, DecisionService, DenyReason};
 
 const POLICY: &str = r#"<RBACPolicy id="bank" roleType="employee">
   <SubjectPolicy><SubjectDomain dn="o=bank"/></SubjectPolicy>
@@ -33,13 +33,13 @@ const POLICY: &str = r#"<RBACPolicy id="bank" roleType="employee">
 </RBACPolicy>"#;
 
 struct Bank {
-    pdp: Pdp,
+    pdp: DecisionService,
     hr: Authority,
 }
 
 impl Bank {
     fn new() -> Self {
-        let mut pdp = Pdp::from_xml(POLICY, b"bank-trail-key".to_vec()).unwrap();
+        let pdp = DecisionService::from_xml_symbolized(POLICY, b"bank-trail-key".to_vec()).unwrap();
         let hr = Authority::new("cn=HR, o=bank", b"hr-key".to_vec());
         pdp.register_authority_key(hr.dn(), hr.verification_key().to_vec());
         Bank { pdp, hr }
@@ -178,10 +178,11 @@ fn audit_trail_complete_and_verifiable() {
     bank.audit("bob", "York", "2006", 3);
     bank.commit_audit("bob", "York", "2006", 4);
 
-    let trail = bank.pdp.trail();
-    trail.verify().unwrap();
     use audit::EventKind;
-    let kinds: Vec<EventKind> = trail.open_records().iter().map(|r| r.event.kind).collect();
+    let kinds: Vec<EventKind> = bank.pdp.with_trail(|trail| {
+        trail.verify().unwrap();
+        trail.open_records().iter().map(|r| r.event.kind).collect()
+    });
     assert_eq!(kinds.iter().filter(|k| **k == EventKind::Grant).count(), 3);
     assert_eq!(kinds.iter().filter(|k| **k == EventKind::Deny).count(), 1);
     assert_eq!(kinds.iter().filter(|k| **k == EventKind::ContextTerminated).count(), 1);
@@ -190,7 +191,7 @@ fn audit_trail_complete_and_verifiable() {
 /// Outsiders and forged credentials stay out regardless of MSoD.
 #[test]
 fn perimeter_checks_still_hold() {
-    let mut bank = Bank::new();
+    let bank = Bank::new();
     // Subject outside o=bank.
     let mut rogue = Authority::new("cn=HR, o=bank", b"wrong-key".to_vec());
     let cred = rogue.issue("cn=eve, o=crime", RoleRef::new("employee", "Teller"), 0, 100);

@@ -3,8 +3,8 @@
 //! under MSoD, and the strict first-step engine option.
 
 use credential::{Authority, DelegableCredential, DelegationChain, Delegator};
-use msod::{EngineOptions, RetainedAdi, RoleRef};
-use permis::{Credentials, DecisionRequest, Pdp};
+use msod::{EngineOptions, RoleRef};
+use permis::{Credentials, DecisionRequest, DecisionService};
 
 /// §3: "If the last step is omitted, the PDP may infer that a business
 /// context is no longer active if a containing business context
@@ -40,8 +40,8 @@ fn outer_termination_cascades_to_inner_contexts() {
     </MSoDPolicy>
   </MSoDPolicySet>
 </RBACPolicy>"#;
-    let mut pdp = Pdp::from_xml(policy, b"k".to_vec()).unwrap();
-    let act = |pdp: &mut Pdp, user: &str, role: &str, op: &str, ctx: &str, ts: u64| {
+    let pdp = DecisionService::from_xml_symbolized(policy, b"k".to_vec()).unwrap();
+    let act = |pdp: &DecisionService, user: &str, role: &str, op: &str, ctx: &str, ts: u64| {
         pdp.decide(&DecisionRequest::with_roles(
             user,
             vec![RoleRef::new("employee", role)],
@@ -55,22 +55,22 @@ fn outer_termination_cascades_to_inner_contexts() {
 
     // Work inside two tasks of project p1; records accumulate for both
     // the outer and inner scopes (one record each, shared).
-    assert!(act(&mut pdp, "alice", "A", "work", "Project=p1, Task=t1", 1));
-    assert!(act(&mut pdp, "alice", "A", "work", "Project=p1, Task=t2", 2));
-    assert!(act(&mut pdp, "bob", "B", "work", "Project=p2, Task=t9", 3));
+    assert!(act(&pdp, "alice", "A", "work", "Project=p1, Task=t1", 1));
+    assert!(act(&pdp, "alice", "A", "work", "Project=p1, Task=t2", 2));
+    assert!(act(&pdp, "bob", "B", "work", "Project=p2, Task=t9", 3));
     assert_eq!(pdp.adi().len(), 3);
 
     // Inner scope bites within a task...
-    assert!(!act(&mut pdp, "alice", "B", "work", "Project=p1, Task=t1", 4));
+    assert!(!act(&pdp, "alice", "B", "work", "Project=p1, Task=t1", 4));
 
     // Terminating the CONTAINING project purges the contained task
     // records too — the §3 inference.
-    assert!(act(&mut pdp, "zoe", "A", "closeProject", "Project=p1", 5));
+    assert!(act(&pdp, "zoe", "A", "closeProject", "Project=p1", 5));
     assert_eq!(pdp.adi().len(), 1, "only project p2's record survives");
-    assert!(act(&mut pdp, "alice", "B", "work", "Project=p1, Task=t1", 6));
+    assert!(act(&pdp, "alice", "B", "work", "Project=p1, Task=t1", 6));
 
     // p2 was untouched by p1's closure.
-    assert!(!act(&mut pdp, "bob", "A", "work", "Project=p2, Task=t9", 7));
+    assert!(!act(&pdp, "bob", "A", "work", "Project=p2, Task=t9", 7));
 }
 
 /// A role acquired through a valid delegation chain is still a role:
@@ -94,7 +94,7 @@ fn delegated_roles_are_subject_to_msod() {
     </MSoDPolicy>
   </MSoDPolicySet>
 </RBACPolicy>"#;
-    let mut pdp = Pdp::from_xml(policy, b"k".to_vec()).unwrap();
+    let pdp = DecisionService::from_xml_symbolized(policy, b"k".to_vec()).unwrap();
 
     // SOA issues alice a delegable Signer role; alice delegates to bob.
     let mut soa = Authority::new("cn=SOA", b"soa-key".to_vec());
@@ -163,16 +163,12 @@ fn strict_first_step_option_end_to_end() {
     let req = DecisionRequest::with_roles("u", both, "work", "res", "P=1".parse().unwrap(), 1);
 
     // Faithful mode: the starting operation slips through (step 4).
-    let mut faithful = Pdp::from_xml(policy_xml, b"k".to_vec()).unwrap();
+    let faithful = DecisionService::from_xml_symbolized(policy_xml, b"k".to_vec()).unwrap();
     assert!(faithful.decide(&req).is_granted());
 
     // Strict mode: denied even on the first step.
-    let mut strict = Pdp::from_xml(policy_xml, b"k".to_vec()).unwrap();
-    let policies = strict.engine_mut().policies().clone();
-    *strict.engine_mut() = msod::MsodEngine::with_options(
-        policies,
-        EngineOptions { check_constraints_on_first_step: true },
-    );
+    let strict = DecisionService::from_xml_symbolized(policy_xml, b"k".to_vec()).unwrap();
+    strict.set_engine_options(EngineOptions { check_constraints_on_first_step: true });
     assert!(!strict.decide(&req).is_granted());
 }
 
@@ -190,7 +186,7 @@ fn environment_conditions_gate_rbac() {
     </TargetAccess>
   </TargetAccessPolicy>
 </RBACPolicy>"#;
-    let mut pdp = Pdp::from_xml(policy, b"k".to_vec()).unwrap();
+    let pdp = DecisionService::from_xml_symbolized(policy, b"k".to_vec()).unwrap();
     let mut req = DecisionRequest::with_roles(
         "u",
         vec![RoleRef::new("e", "Clerk")],
@@ -224,8 +220,8 @@ fn recovery_consistent_at_any_cut_point() {
         let dir = std::env::temp_dir().join(format!("msod-cut-{}-{cut}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
 
-        let mut survivor = Pdp::from_xml(&policy, b"key".to_vec()).unwrap();
-        let mut victim = Pdp::from_xml(&policy, b"key".to_vec()).unwrap();
+        let survivor = DecisionService::from_xml_symbolized(&policy, b"key".to_vec()).unwrap();
+        let victim = DecisionService::from_xml_symbolized(&policy, b"key".to_vec()).unwrap();
         victim.attach_store(TrailStore::open(&dir).unwrap());
 
         for req in &requests[..cut] {
@@ -236,7 +232,7 @@ fn recovery_consistent_at_any_cut_point() {
         victim.rotate_and_persist().unwrap();
         drop(victim);
 
-        let mut recovered = Pdp::from_xml(&policy, b"key".to_vec()).unwrap();
+        let recovered = DecisionService::from_xml_symbolized(&policy, b"key".to_vec()).unwrap();
         recovered.attach_store(TrailStore::open(&dir).unwrap());
         recovered.recover(usize::MAX, 0).unwrap();
         assert_eq!(recovered.adi().snapshot(), survivor.adi().snapshot(), "cut at {cut}");
@@ -250,8 +246,9 @@ fn recovery_consistent_at_any_cut_point() {
     }
 }
 
-/// What-if evaluation via `Pdp::clone`: probing a deep copy answers
-/// "would this be denied?" without contaminating the live history.
+/// What-if evaluation via a clone: probing a service seeded with a copy
+/// of the live retained ADI answers "would this be denied?" without
+/// contaminating the live history.
 #[test]
 fn what_if_probing_with_clone() {
     let policy = r#"<RBACPolicy id="whatif" roleType="e">
@@ -269,7 +266,7 @@ fn what_if_probing_with_clone() {
     </MSoDPolicy>
   </MSoDPolicySet>
 </RBACPolicy>"#;
-    let mut live = Pdp::from_xml(policy, b"k".to_vec()).unwrap();
+    let live = DecisionService::from_xml_symbolized(policy, b"k".to_vec()).unwrap();
     let req = |role: &str, ts| {
         DecisionRequest::with_roles(
             "u",
@@ -284,7 +281,8 @@ fn what_if_probing_with_clone() {
     let before = live.adi().snapshot();
 
     // Probe: would role B be denied? Ask a clone.
-    let mut probe = live.clone();
+    let probe = DecisionService::from_xml_symbolized(policy, b"k".to_vec()).unwrap();
+    probe.adi().with_exclusive(|adi| before.iter().cloned().for_each(|rec| adi.add(rec)));
     assert!(!probe.decide(&req("B", 2)).is_granted());
     // Would a different user's B be granted?
     let other = DecisionRequest::with_roles(
@@ -299,7 +297,7 @@ fn what_if_probing_with_clone() {
 
     // The live PDP is untouched by all the probing.
     assert_eq!(live.adi().snapshot(), before);
-    assert_eq!(live.trail().len(), 1);
+    assert_eq!(live.with_trail(|t| t.len()), 1);
 }
 
 /// Revocation propagates into decisions: a revoked credential stops
@@ -319,7 +317,7 @@ fn revocation_mid_stream() {
     </MSoDPolicy>
   </MSoDPolicySet>
 </RBACPolicy>"#;
-    let mut pdp = Pdp::from_xml(policy, b"k".to_vec()).unwrap();
+    let pdp = DecisionService::from_xml_symbolized(policy, b"k".to_vec()).unwrap();
     let mut soa = Authority::new("cn=SOA", b"soa".to_vec());
     pdp.register_authority_key("cn=SOA", b"soa".to_vec());
     let cred_a = soa.issue("u", RoleRef::new("e", "A"), 0, 1000);

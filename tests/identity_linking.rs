@@ -9,7 +9,7 @@
 
 use credential::{AliasLinker, TransientHandleIssuer};
 use msod::RoleRef;
-use permis::{DecisionRequest, Pdp};
+use permis::{DecisionRequest, DecisionService};
 
 const POLICY: &str = r#"<RBACPolicy id="vo" roleType="permisRole">
   <SOAPolicy><SOA dn="cn=SOA"/></SOAPolicy>
@@ -28,7 +28,7 @@ const POLICY: &str = r#"<RBACPolicy id="vo" roleType="permisRole">
   </MSoDPolicySet>
 </RBACPolicy>"#;
 
-fn act(pdp: &mut Pdp, subject: &str, role: &str, ts: u64) -> bool {
+fn act(pdp: &DecisionService, subject: &str, role: &str, ts: u64) -> bool {
     pdp.decide(&DecisionRequest::with_roles(
         subject,
         vec![RoleRef::new("permisRole", role)],
@@ -45,16 +45,16 @@ fn act(pdp: &mut Pdp, subject: &str, role: &str, ts: u64) -> bool {
 /// not be possible to support MSoD."
 #[test]
 fn transient_handles_evade_msod() {
-    let mut pdp = Pdp::from_xml(POLICY, b"k".to_vec()).unwrap();
+    let pdp = DecisionService::from_xml_symbolized(POLICY, b"k".to_vec()).unwrap();
     let mut idp = TransientHandleIssuer::new();
     // Session 1: alice acts as Clerk under handle #1.
     let s1 = idp.begin_session("alice");
-    assert!(act(&mut pdp, &s1.handle, "Clerk", 1));
+    assert!(act(&pdp, &s1.handle, "Clerk", 1));
     // Session 2: fresh handle — the PDP cannot join the sessions, so
     // the conflicting role sails through. (The vulnerability, shown.)
     let s2 = idp.begin_session("alice");
     assert_ne!(s1.handle, s2.handle);
-    assert!(act(&mut pdp, &s2.handle, "Auditor", 2), "MSoD evaded via transient handles");
+    assert!(act(&pdp, &s2.handle, "Auditor", 2), "MSoD evaded via transient handles");
 }
 
 /// "it is possible to configure Shibboleth to return the user's ID
@@ -62,15 +62,15 @@ fn transient_handles_evade_msod() {
 /// supported."
 #[test]
 fn persistent_id_release_restores_msod() {
-    let mut pdp = Pdp::from_xml(POLICY, b"k".to_vec()).unwrap();
+    let pdp = DecisionService::from_xml_symbolized(POLICY, b"k".to_vec()).unwrap();
     let mut idp = TransientHandleIssuer::new().with_persistent_id_release();
     let s1 = idp.begin_session("alice");
     let subject1 = s1.persistent_id.expect("IdP releases the persistent ID");
-    assert!(act(&mut pdp, &subject1, "Clerk", 1));
+    assert!(act(&pdp, &subject1, "Clerk", 1));
     let s2 = idp.begin_session("alice");
     let subject2 = s2.persistent_id.unwrap();
     assert_eq!(subject1, subject2);
-    assert!(!act(&mut pdp, &subject2, "Auditor", 2), "MSoD enforced again");
+    assert!(!act(&pdp, &subject2, "Auditor", 2), "MSoD enforced again");
 }
 
 /// "a user could use one identity from one authority to activate one
@@ -79,13 +79,13 @@ fn persistent_id_release_restores_msod() {
 /// able to detect this."
 #[test]
 fn unlinked_aliases_evade_msod() {
-    let mut pdp = Pdp::from_xml(POLICY, b"k".to_vec()).unwrap();
+    let pdp = DecisionService::from_xml_symbolized(POLICY, b"k".to_vec()).unwrap();
     let linker = AliasLinker::new(); // nothing federated
     let id1 = linker.resolve_or_alias("authA", "alias-A-alice").to_owned();
     let id2 = linker.resolve_or_alias("authB", "alias-B-alice").to_owned();
     assert_ne!(id1, id2);
-    assert!(act(&mut pdp, &id1, "Clerk", 1));
-    assert!(act(&mut pdp, &id2, "Auditor", 2), "MSoD evaded via split identities");
+    assert!(act(&pdp, &id1, "Clerk", 1));
+    assert!(act(&pdp, &id2, "Auditor", 2), "MSoD evaded via split identities");
 }
 
 /// "the Liberty Model supports identity linking ... In this way MSoD
@@ -93,17 +93,17 @@ fn unlinked_aliases_evade_msod() {
 /// and basing the MSoD policy on the local identity."
 #[test]
 fn alias_linking_restores_msod() {
-    let mut pdp = Pdp::from_xml(POLICY, b"k".to_vec()).unwrap();
+    let pdp = DecisionService::from_xml_symbolized(POLICY, b"k".to_vec()).unwrap();
     let mut linker = AliasLinker::new();
     linker.link("authA", "alias-A-alice", "alice@vo");
     linker.link("authB", "alias-B-alice", "alice@vo");
     let id1 = linker.resolve_or_alias("authA", "alias-A-alice").to_owned();
     let id2 = linker.resolve_or_alias("authB", "alias-B-alice").to_owned();
     assert_eq!(id1, id2);
-    assert!(act(&mut pdp, &id1, "Clerk", 1));
-    assert!(!act(&mut pdp, &id2, "Auditor", 2));
+    assert!(act(&pdp, &id1, "Clerk", 1));
+    assert!(!act(&pdp, &id2, "Auditor", 2));
     // Another person's alias is unaffected.
     linker.link("authA", "alias-A-bob", "bob@vo");
     let bob = linker.resolve_or_alias("authA", "alias-A-bob").to_owned();
-    assert!(act(&mut pdp, &bob, "Auditor", 3));
+    assert!(act(&pdp, &bob, "Auditor", 3));
 }

@@ -3,9 +3,9 @@
 //! real signed credentials for the administrators.
 
 use credential::Authority;
-use msod::{RetainedAdi, RoleRef};
+use msod::RoleRef;
 use permis::{
-    purge_scope, Credentials, DecisionRequest, DenyReason, ManagementOp, Pdp,
+    purge_scope, Credentials, DecisionRequest, DecisionService, DenyReason, ManagementOp,
     RETAINED_ADI_CONTROLLER,
 };
 
@@ -33,13 +33,13 @@ const POLICY: &str = r#"<RBACPolicy id="vo" roleType="permisRole">
 </RBACPolicy>"#;
 
 struct Vo {
-    pdp: Pdp,
+    pdp: DecisionService,
     soa: Authority,
 }
 
 impl Vo {
     fn new() -> Self {
-        let mut pdp = Pdp::from_xml(POLICY, b"vo-key".to_vec()).unwrap();
+        let pdp = DecisionService::from_xml_symbolized(POLICY, b"vo-key".to_vec()).unwrap();
         let soa = Authority::new("cn=VO-Admin", b"soa-key".to_vec());
         pdp.register_authority_key(soa.dn(), soa.verification_key().to_vec());
         Vo { pdp, soa }

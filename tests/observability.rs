@@ -42,7 +42,7 @@ const POLICY: &str = r#"<RBACPolicy id="obs" roleType="employee">
 </RBACPolicy>"#;
 
 fn service() -> DecisionService {
-    DecisionService::from_xml(POLICY, b"obs-test-key".to_vec()).unwrap()
+    DecisionService::from_xml_symbolized(POLICY, b"obs-test-key".to_vec()).unwrap()
 }
 
 fn request(user: &str, role: &str, op: &str, target: &str, ctx: &str, ts: u64) -> DecisionRequest {
@@ -387,7 +387,7 @@ fn explanations_capture_and_inspect_port() {
         return;
     }
     assert!(ex.msod.is_some());
-    assert_eq!(ex.engine, "string");
+    assert_eq!(ex.engine, "sym");
 
     let controller =
         Credentials::Validated(vec![RoleRef::new("employee", "RetainedADIController")]);

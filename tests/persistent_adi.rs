@@ -2,13 +2,20 @@
 //! persistent retained ADI: identical decisions to the in-memory
 //! backend, and restart *without* audit-trail replay.
 
-use msod::{RetainedAdi, RoleRef};
-use permis::{DecisionRequest, Pdp};
+use msod::{RoleRef, ShardedAdi};
+use permis::{DecisionRequest, DecisionService};
+use policy::PdpPolicy;
 use storage::PersistentAdi;
 use workflow::scenarios::{gen_requests, workload_policy_xml, WorkloadConfig};
 
 fn temp_file(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("msod-padi-{}-{tag}.log", std::process::id()))
+}
+
+/// The service over one journaled shard at `path`.
+fn journaled(policy: PdpPolicy, path: &std::path::Path) -> DecisionService<PersistentAdi> {
+    let store = PersistentAdi::open(path).unwrap();
+    DecisionService::from_shards(policy, b"k".to_vec(), ShardedAdi::from_shards(vec![store]))
 }
 
 #[test]
@@ -25,8 +32,8 @@ fn persistent_backend_matches_memory_backend() {
     let policy_xml = workload_policy_xml(&cfg);
     let policy = policy::parse_rbac_policy(&policy_xml).unwrap();
 
-    let mut mem_pdp = Pdp::from_xml(&policy_xml, b"k".to_vec()).unwrap();
-    let mut per_pdp = Pdp::with_adi(policy, b"k".to_vec(), PersistentAdi::open(&path).unwrap());
+    let mem_pdp = DecisionService::from_xml_symbolized(&policy_xml, b"k".to_vec()).unwrap();
+    let per_pdp = journaled(policy, &path);
 
     for (i, req) in gen_requests(&cfg, 3).iter().enumerate() {
         assert_eq!(
@@ -58,7 +65,7 @@ fn restart_without_trail_replay() {
     </MSoDPolicy>
   </MSoDPolicySet>
 </RBACPolicy>"#;
-    let act = |pdp: &mut Pdp<PersistentAdi>, user: &str, role: &str, ts: u64| {
+    let act = |pdp: &DecisionService<PersistentAdi>, user: &str, role: &str, ts: u64| {
         pdp.decide(&DecisionRequest::with_roles(
             user,
             vec![RoleRef::new("employee", role)],
@@ -71,18 +78,105 @@ fn restart_without_trail_replay() {
     };
     {
         let policy = policy::parse_rbac_policy(policy_xml).unwrap();
-        let mut pdp = Pdp::with_adi(policy, b"k".to_vec(), PersistentAdi::open(&path).unwrap());
-        assert!(act(&mut pdp, "alice", "A", 1));
-        pdp.adi_backend_mut().sync().unwrap();
+        let pdp = journaled(policy, &path);
+        assert!(act(&pdp, "alice", "A", 1));
+        pdp.sync_adi().unwrap();
     }
     // Fresh PDP process: the retained ADI comes straight off disk — no
     // TrailStore attached, no recover() call, no trail replay.
     let policy = policy::parse_rbac_policy(policy_xml).unwrap();
-    let mut pdp = Pdp::with_adi(policy, b"k".to_vec(), PersistentAdi::open(&path).unwrap());
+    let pdp = journaled(policy, &path);
     assert_eq!(pdp.adi().len(), 1);
-    assert!(!act(&mut pdp, "alice", "B", 100), "history survived the restart");
-    assert!(act(&mut pdp, "bob", "B", 101));
+    assert!(!act(&pdp, "alice", "B", 100), "history survived the restart");
+    assert!(act(&pdp, "bob", "B", 101));
     let _ = std::fs::remove_file(&path);
+}
+
+/// The durable-ack gap (ROADMAP item 9), pinned as it stands: a grant
+/// is acknowledged once its journal frame is *queued* in the shard's
+/// in-memory frame batch, and reaches the device only at the next
+/// `sync_adi`. A power cut in between loses a record the PEP already
+/// acted on, recovery reports a clean journal, and after the restart the
+/// conflicting step is granted — an under-deny. Item 9's second PR
+/// (group commit before the acknowledgement) flips the final assertion
+/// to a deny.
+#[test]
+fn unsynced_grant_is_lost_at_power_cut() {
+    use std::path::Path;
+    use std::sync::Arc;
+
+    use msod::symtab::SymbolTable;
+    use storage::{FaultVfs, Vfs};
+
+    const SHARDS: usize = 2;
+    let policy = || {
+        policy::parse_rbac_policy(
+            r#"<RBACPolicy id="ack" roleType="employee">
+  <SOAPolicy><SOA dn="cn=SOA"/></SOAPolicy>
+  <TargetAccessPolicy>
+    <TargetAccess operation="work" targetURI="res">
+      <AllowedRole value="A"/><AllowedRole value="B"/>
+    </TargetAccess>
+  </TargetAccessPolicy>
+  <MSoDPolicySet>
+    <MSoDPolicy BusinessContext="Proc=!">
+      <MMER ForbiddenCardinality="2">
+        <Role type="employee" value="A"/><Role type="employee" value="B"/>
+      </MMER>
+    </MSoDPolicy>
+  </MSoDPolicySet>
+</RBACPolicy>"#,
+        )
+        .unwrap()
+    };
+    // Journaled shards on a RAM disk, all opened against one symbol
+    // table, as `open_persistent` opens them.
+    let open = |vfs: &FaultVfs| {
+        let table = Arc::new(SymbolTable::new());
+        let shards = (0..SHARDS)
+            .map(|i| {
+                let vfs: Arc<dyn Vfs> = Arc::new(vfs.clone());
+                let path = format!("/adi-shard-{i}.log");
+                PersistentAdi::open_with_table(vfs, Path::new(&path), Arc::clone(&table)).unwrap()
+            })
+            .collect();
+        let svc =
+            DecisionService::from_shards(policy(), b"k".to_vec(), ShardedAdi::from_shards(shards));
+        assert!(svc.core().sym_engine().is_some());
+        svc
+    };
+    let work = |role: &str, ts: u64| {
+        DecisionRequest::with_roles(
+            "alice",
+            vec![RoleRef::new("employee", role)],
+            "work",
+            "res",
+            "Proc=1".parse().unwrap(),
+            ts,
+        )
+    };
+
+    let vfs = FaultVfs::default();
+    let svc = open(&vfs);
+    assert!(svc.decide(&work("A", 1)).is_granted(), "the first step is acknowledged");
+    assert!(!svc.decide(&work("B", 2)).is_granted(), "the live service denies the conflict");
+    let shard = svc.adi().shard_index("alice");
+    assert!(svc.adi().with_shard(shard, |s| s.batched_ops()) > 0, "frames queued, not synced");
+
+    // Power cut with no `sync_adi`: the process dies with its batch.
+    for i in 0..SHARDS {
+        svc.adi().with_shard(i, |s| s.abandon());
+    }
+    drop(svc);
+    vfs.power_cut(0xAC4_6A9);
+
+    let svc = open(&vfs);
+    for i in 0..SHARDS {
+        assert!(svc.adi().with_shard(i, |s| s.recovery().is_clean()), "the loss is silent");
+    }
+    assert!(svc.adi().is_empty(), "the acknowledged grant did not survive");
+    // Today's under-deny. Item 9's second PR makes this a deny.
+    assert!(svc.decide(&work("B", 3)).is_granted());
 }
 
 /// Differential test through the real constructors: the durable

@@ -3,8 +3,8 @@
 //! state is decision-equivalent to the pre-crash state.
 
 use audit::TrailStore;
-use msod::{RetainedAdi, RoleRef};
-use permis::{DecisionRequest, Pdp};
+use msod::RoleRef;
+use permis::{DecisionRequest, DecisionService};
 use workflow::scenarios::{gen_requests, workload_policy_xml, WorkloadConfig};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -30,8 +30,8 @@ fn recovered_pdp_is_decision_equivalent() {
     let requests = gen_requests(&cfg, 99);
 
     // PDP "survivor" never crashes. PDP "victim" persists and crashes.
-    let mut survivor = Pdp::from_xml(&policy, b"key".to_vec()).unwrap();
-    let mut victim = Pdp::from_xml(&policy, b"key".to_vec()).unwrap();
+    let survivor = DecisionService::from_xml_symbolized(&policy, b"key".to_vec()).unwrap();
+    let victim = DecisionService::from_xml_symbolized(&policy, b"key".to_vec()).unwrap();
     victim.attach_store(TrailStore::open(&dir).unwrap());
     for (i, req) in requests.iter().enumerate() {
         let a = survivor.decide(req).is_granted();
@@ -46,7 +46,7 @@ fn recovered_pdp_is_decision_equivalent() {
     drop(victim);
 
     // Recover a fresh PDP from the store.
-    let mut recovered = Pdp::from_xml(&policy, b"key".to_vec()).unwrap();
+    let recovered = DecisionService::from_xml_symbolized(&policy, b"key".to_vec()).unwrap();
     recovered.attach_store(TrailStore::open(&dir).unwrap());
     let report = recovered.recover(usize::MAX, 0).unwrap();
     assert!(report.segments_loaded >= 6);
@@ -86,7 +86,7 @@ fn administrative_window_limits_recovery() {
     </MSoDPolicy>
   </MSoDPolicySet>
 </RBACPolicy>"#;
-    let act = |pdp: &mut Pdp, user: &str, role: &str, ts: u64| {
+    let act = |pdp: &DecisionService, user: &str, role: &str, ts: u64| {
         pdp.decide(&DecisionRequest::with_roles(
             user,
             vec![RoleRef::new("employee", role)],
@@ -98,27 +98,27 @@ fn administrative_window_limits_recovery() {
         .is_granted()
     };
     {
-        let mut pdp = Pdp::from_xml(policy, b"key".to_vec()).unwrap();
+        let pdp = DecisionService::from_xml_symbolized(policy, b"key".to_vec()).unwrap();
         pdp.attach_store(TrailStore::open(&dir).unwrap());
-        act(&mut pdp, "ancient", "A", 10);
+        act(&pdp, "ancient", "A", 10);
         pdp.rotate_and_persist().unwrap();
-        act(&mut pdp, "recent", "A", 10_000);
+        act(&pdp, "recent", "A", 10_000);
         pdp.rotate_and_persist().unwrap();
     }
     // n = 1: only the most recent trail — "ancient" is forgotten, so
     // the conflicting role is (incorrectly but by administrative
     // choice) granted to them.
-    let mut pdp = Pdp::from_xml(policy, b"key".to_vec()).unwrap();
+    let pdp = DecisionService::from_xml_symbolized(policy, b"key".to_vec()).unwrap();
     pdp.attach_store(TrailStore::open(&dir).unwrap());
     pdp.recover(1, 0).unwrap();
-    assert!(act(&mut pdp, "ancient", "B", 20_000));
-    assert!(!act(&mut pdp, "recent", "B", 20_001));
+    assert!(act(&pdp, "ancient", "B", 20_000));
+    assert!(!act(&pdp, "recent", "B", 20_001));
 
     // Full n, but t cuts old records off — same effect.
-    let mut pdp = Pdp::from_xml(policy, b"key".to_vec()).unwrap();
+    let pdp = DecisionService::from_xml_symbolized(policy, b"key".to_vec()).unwrap();
     pdp.attach_store(TrailStore::open(&dir).unwrap());
     pdp.recover(usize::MAX, 5_000).unwrap();
-    assert!(!act(&mut pdp, "recent", "B", 20_002));
+    assert!(!act(&pdp, "recent", "B", 20_002));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -143,7 +143,7 @@ fn terminations_survive_restart() {
   </MSoDPolicySet>
 </RBACPolicy>"#;
     {
-        let mut pdp = Pdp::from_xml(policy, b"key".to_vec()).unwrap();
+        let pdp = DecisionService::from_xml_symbolized(policy, b"key".to_vec()).unwrap();
         pdp.attach_store(TrailStore::open(&dir).unwrap());
         let req = |user: &str, role: &str, op: &str, ts: u64| {
             DecisionRequest::with_roles(
@@ -160,7 +160,7 @@ fn terminations_survive_restart() {
         assert_eq!(pdp.adi().len(), 0);
         pdp.rotate_and_persist().unwrap();
     }
-    let mut pdp = Pdp::from_xml(policy, b"key".to_vec()).unwrap();
+    let pdp = DecisionService::from_xml_symbolized(policy, b"key".to_vec()).unwrap();
     pdp.attach_store(TrailStore::open(&dir).unwrap());
     let report = pdp.recover(usize::MAX, 0).unwrap();
     assert_eq!(report.records_retained, 0, "terminated instance must stay flushed");
@@ -185,16 +185,19 @@ fn startup_marker_logged() {
     let dir = temp_dir("marker");
     let policy = workload_policy_xml(&WorkloadConfig::default());
     {
-        let mut pdp = Pdp::from_xml(&policy, b"key".to_vec()).unwrap();
+        let pdp = DecisionService::from_xml_symbolized(&policy, b"key".to_vec()).unwrap();
         pdp.attach_store(TrailStore::open(&dir).unwrap());
         for req in gen_requests(&WorkloadConfig { requests: 10, ..Default::default() }, 1) {
             pdp.decide(&req);
         }
         pdp.rotate_and_persist().unwrap();
     }
-    let mut pdp = Pdp::from_xml(&policy, b"key".to_vec()).unwrap();
+    let pdp = DecisionService::from_xml_symbolized(&policy, b"key".to_vec()).unwrap();
     pdp.attach_store(TrailStore::open(&dir).unwrap());
     pdp.recover(usize::MAX, 0).unwrap();
-    assert!(pdp.trail().open_records().iter().any(|r| r.event.kind == audit::EventKind::Startup));
+    assert!(pdp.with_trail(|t| t
+        .open_records()
+        .iter()
+        .any(|r| r.event.kind == audit::EventKind::Startup)));
     let _ = std::fs::remove_dir_all(&dir);
 }

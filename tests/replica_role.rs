@@ -54,14 +54,14 @@ fn is_not_primary(outcome: &DecisionOutcome) -> bool {
 
 #[test]
 fn default_role_is_primary_and_decides() {
-    let svc = DecisionService::from_xml(POLICY, b"t".to_vec()).unwrap();
+    let svc = DecisionService::from_xml_symbolized(POLICY, b"t".to_vec()).unwrap();
     assert_eq!(svc.replica_role(), ReplicaRole::Primary);
     assert!(svc.decide(&work("u1", "Member", "1", 1)).is_granted());
 }
 
 #[test]
 fn replica_denies_decides_without_evaluating_or_retaining() {
-    let svc = DecisionService::from_xml(POLICY, b"t".to_vec()).unwrap();
+    let svc = DecisionService::from_xml_symbolized(POLICY, b"t".to_vec()).unwrap();
     svc.set_replica_role(ReplicaRole::Replica);
     let outcome = svc.decide(&work("u1", "Member", "1", 1));
     assert!(is_not_primary(&outcome), "{outcome:?}");
@@ -72,7 +72,7 @@ fn replica_denies_decides_without_evaluating_or_retaining() {
 
 #[test]
 fn replica_denies_whole_batches() {
-    let svc = DecisionService::from_xml(POLICY, b"t".to_vec()).unwrap();
+    let svc = DecisionService::from_xml_symbolized(POLICY, b"t".to_vec()).unwrap();
     svc.set_replica_role(ReplicaRole::Replica);
     let outcomes = svc.decide_many(&[work("u1", "Member", "1", 1), work("u2", "Reviewer", "1", 2)]);
     assert_eq!(outcomes.len(), 2);
@@ -81,7 +81,7 @@ fn replica_denies_whole_batches() {
 
 #[test]
 fn replica_denies_management_mutation() {
-    let svc = DecisionService::from_xml(POLICY, b"t".to_vec()).unwrap();
+    let svc = DecisionService::from_xml_symbolized(POLICY, b"t".to_vec()).unwrap();
     assert!(svc.decide(&work("u1", "Member", "1", 1)).is_granted());
     svc.set_replica_role(ReplicaRole::Replica);
     // manage() routes its authorization through decide(), so the gate
@@ -95,7 +95,7 @@ fn replica_denies_management_mutation() {
 
 #[test]
 fn apply_path_mutates_and_tags_the_epoch() {
-    let svc = DecisionService::from_xml(POLICY, b"t".to_vec()).unwrap();
+    let svc = DecisionService::from_xml_symbolized(POLICY, b"t".to_vec()).unwrap();
     svc.set_replica_role(ReplicaRole::Replica);
     assert_eq!(svc.apply_epoch(), 0);
 
@@ -119,7 +119,7 @@ fn apply_path_mutates_and_tags_the_epoch() {
 
 #[test]
 fn promotion_restores_first_hand_decides() {
-    let svc = DecisionService::from_xml(POLICY, b"t".to_vec()).unwrap();
+    let svc = DecisionService::from_xml_symbolized(POLICY, b"t".to_vec()).unwrap();
     svc.set_replica_role(ReplicaRole::Replica);
     assert!(is_not_primary(&svc.decide(&work("u1", "Member", "1", 1))));
     svc.set_replica_role(ReplicaRole::Primary);
@@ -128,7 +128,7 @@ fn promotion_restores_first_hand_decides() {
 
 #[test]
 fn explained_decides_are_gated_too() {
-    let svc = DecisionService::from_xml(POLICY, b"t".to_vec()).unwrap();
+    let svc = DecisionService::from_xml_symbolized(POLICY, b"t".to_vec()).unwrap();
     svc.set_replica_role(ReplicaRole::Replica);
     let (outcome, explanation) = svc.decide_explained(&work("u1", "Member", "1", 1));
     assert!(is_not_primary(&outcome));

@@ -4,7 +4,7 @@
 //! whether loaded standalone or embedded in an RBAC policy.
 
 use msod::RoleRef;
-use permis::{DecisionRequest, Pdp};
+use permis::{DecisionRequest, DecisionService};
 use policy::msod_xml::PAPER_SECTION3_POLICIES;
 use policy::{
     msod_policy_set_to_xml, msod_schema, parse_msod_policy_set, parse_rbac_policy, rbac_schema,
@@ -77,8 +77,9 @@ fn reserialized_policy_drives_identical_decisions() {
 </RBACPolicy>"#
         )
     };
-    let mut pdp_a = Pdp::from_xml(&wrap(PAPER_SECTION3_POLICIES), b"k".to_vec()).unwrap();
-    let mut pdp_b = Pdp::from_xml(&wrap(strip_decl), b"k".to_vec()).unwrap();
+    let pdp_a = DecisionService::from_xml_symbolized(&wrap(PAPER_SECTION3_POLICIES), b"k".to_vec())
+        .unwrap();
+    let pdp_b = DecisionService::from_xml_symbolized(&wrap(strip_decl), b"k".to_vec()).unwrap();
 
     let reqs = [
         ("alice", "Teller", "handleCash", "till", "Branch=York, Period=2006"),
