@@ -2,13 +2,13 @@
 //! # audit — secure audit trail for history-based access control
 //!
 //! Reproduces the tamper-evident audit service the MSoD paper relies on
-//! (§4.2, §5.2, reference [5]): every PDP decision is logged to a
+//! (§4.2, §5.2, reference \[5\]): every PDP decision is logged to a
 //! SHA-256 hash-chained trail; rotating seals the current segment with
 //! an HMAC under the trail key; at start-up the last *n* trails from
 //! time *t* are replayed to rebuild the retained ADI.
 //!
 //! The allowed offline crate set contains no cryptography, so SHA-256
-//! ([`sha256`]) and HMAC-SHA256 ([`hmac`]) are implemented from scratch
+//! ([`sha256`](mod@sha256)) and HMAC-SHA256 ([`hmac`]) are implemented from scratch
 //! and pinned by NIST / RFC 4231 test vectors.
 //!
 //! ```

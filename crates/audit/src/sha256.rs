@@ -1,7 +1,7 @@
 //! Pure-Rust SHA-256 (FIPS 180-4).
 //!
 //! The paper's PERMIS implementation protects its audit trail with a
-//! PKI-based secure audit web service [5]. No cryptography crate exists
+//! PKI-based secure audit web service \[5\]. No cryptography crate exists
 //! in the allowed offline set, so the hash (and the HMAC built on it in
 //! [`crate::hmac`]) is implemented from scratch. Correctness is pinned
 //! by the official NIST test vectors below.

@@ -1,7 +1,7 @@
 //! Hash-chained, HMAC-sealed audit trail with segment rotation, a
 //! file-backed store and recovery replay.
 //!
-//! Reproduces the secure audit service of [5] as used by PERMIS (§5.2):
+//! Reproduces the secure audit service of \[5\] as used by PERMIS (§5.2):
 //! every record extends a SHA-256 hash chain; rotating the trail seals
 //! the current segment with an HMAC over its final chain hash, producing
 //! one "audit trail" in the paper's terminology. At PDP start-up the

@@ -14,9 +14,9 @@ use msod::RoleRef;
 /// validate identically (the paper supports both, §5.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CredentialFormat {
-    /// X.509 attribute certificate [20].
+    /// X.509 attribute certificate \[20\].
     X509Ac,
-    /// SAML attribute assertion [19].
+    /// SAML attribute assertion \[19\].
     SamlAssertion,
 }
 

@@ -15,7 +15,7 @@
 //!   variant, the symbolized store, and the symbolized service behind
 //!   the wire protocol) and checks each verdict and the retained ADI
 //!   state against the oracle ([`run_workload`]).
-//! * [`shrink`]/[`script`] — when a divergence is found, delta-debug it
+//! * [`shrink`](mod@shrink)/[`script`] — when a divergence is found, delta-debug it
 //!   to a locally-minimal workload and print it as a ready-to-paste
 //!   regression test ([`report`]).
 //!

@@ -6,9 +6,9 @@
 //! started, which MMER/MMEP constraints were touched, the per-entry
 //! multiset arithmetic (`listed` / `current` / `seen` / `counted`) and
 //! the retained-ADI records that contributed history. The symbolized
-//! fast path captures the same derivation as raw interner ids
-//! ([`crate::sym::SymExplain`]) and resolves them into this form only
-//! at render time.
+//! fast path captures the same derivation as raw interner ids and
+//! [`crate::dispatch`] resolves them into this form only once the
+//! verdict is in.
 //!
 //! The structure is deliberately *canonical* so independently produced
 //! explanations compare with `==`: constraint entries are the full

@@ -21,6 +21,9 @@
 //!   after the normal RBAC check grants;
 //! - [`sym`] — the symbol plane: interned requests, flat multiset
 //!   matchers, and the allocation-free [`sym::SymEngine`] fast path.
+//! - [`dispatch`] — the MSoD stage of a decide in one call: the
+//!   compiled symbol engine when there is one, the string engine for
+//!   whatever it declines.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -86,8 +89,8 @@ pub use policy::{MsodPolicy, MsodPolicySet};
 pub use privilege::{Privilege, RoleRef};
 pub use sharded::{AdiMetrics, ShardMetrics, ShardedAdi, DEFAULT_SHARDS, EPOCH_STALL_NS};
 pub use sym::{
-    intern_request, sharded_sym_adi, CtxPair, MatchedBuf, ReqBufs, SymAdi, SymEngine, SymExplain,
-    SymOutcome, SymPathStats, SymRecord, SymRequest, SymTables,
+    dispatch, intern_request, sharded_sym_adi, CtxPair, Dispatched, MatchedBuf, MsodScratch,
+    ReqBufs, SymAdi, SymEngine, SymOutcome, SymPathStats, SymRecord, SymRequest,
 };
 /// The interner the symbol plane is built on, re-exported so layers
 /// that already depend on `msod` (the journaled store) can share a

@@ -75,7 +75,7 @@ pub struct ShardMetrics {
     /// Total nanoseconds spent waiting for this shard's mutex.
     pub wait_ns: Counter,
     /// Total nanoseconds this shard's mutex was held — estimated from
-    /// 1-in-[`HOLD_SAMPLE`]d acquisitions, scaled by the period.
+    /// one in every `HOLD_SAMPLE` acquisitions, scaled by the period.
     pub hold_ns: Counter,
     /// Gates hold-time clocking to sampled acquisitions.
     hold_sampler: obs::Sampler,
@@ -523,19 +523,6 @@ impl MsodEngine {
         // Step 1: match the input context instance against the policy
         // set; exit if nothing matches.
         let matched = self.policies().matching(req.context);
-        self.enforce_sharded_matched(adi, req, matched)
-    }
-
-    /// As [`MsodEngine::enforce_sharded`], but step 1 (context
-    /// matching) has already run: `matched` must be
-    /// `self.policies().matching(req.context)`. Lets callers time the
-    /// matching and enforcement phases separately.
-    pub fn enforce_sharded_matched<A: RetainedAdi>(
-        &self,
-        adi: &ShardedAdi<A>,
-        req: &MsodRequest<'_>,
-        matched: Vec<usize>,
-    ) -> MsodDecision {
         if matched.is_empty() {
             return MsodDecision::NotApplicable;
         }

@@ -17,20 +17,25 @@
 //! the lifetime of the table.
 //!
 //! The plane is a conservative overlay on the string engine, not a
-//! fork: requests the fast path cannot express return
-//! [`SymOutcome::Fallback`] and the caller re-runs the request through
-//! [`MsodEngine::enforce_sharded_matched`], which operates on the very
-//! same shards through the [`RetainedAdi`] trait. That keeps
-//! one source of truth for the §4.2 semantics (the string engine,
-//! conformance-checked by the modelcheck oracle) while the symbolized
-//! path carries the steady-state load. Fallbacks are exact, not
-//! heuristic:
+//! fork, and [`dispatch`] is the one entry to both: it interns the
+//! request and runs the compiled engine, and whatever the fast path
+//! declines ([`SymOutcome::Fallback`]) it re-runs through
+//! [`MsodEngine::enforce_sharded`], which operates on the very same
+//! shards through the [`RetainedAdi`] trait. That keeps one source of
+//! truth for the §4.2 semantics (the string engine, conformance-checked
+//! by the modelcheck oracle) while the symbolized path carries the
+//! steady-state load. Fallbacks are exact, not heuristic:
 //!
 //! - a matched policy's **last step** (§4.2 step 7 purges cross shards
 //!   and must serialise through the exclusive view);
 //! - request shapes beyond the fixed fast-path buffers
 //!   ([`MAX_REQ_ROLES`], [`MAX_CTX_DEPTH`], [`MAX_MATCHED`]);
-//! - policy sets the compiler refused (see [`SymEngine::compile`]).
+//! - policy sets the compiler refused (see [`SymEngine::compile`]),
+//!   and stores that keep no symbol index (the reference `MemoryAdi`):
+//!   with no compiled engine, every request takes the string engine.
+//!
+//! Every shard of one store must intern through one table
+//! ([`ShardedAdi::sym_table`] refuses a store whose shards do not).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -376,13 +381,15 @@ impl MatchedBuf {
 }
 
 /// Outcome of the symbolized fast path. `Copy` — index-based detail
-/// only; the caller resolves strings on the cold path.
+/// only; [`dispatch`] turns it into an [`MsodDecision`], resolving
+/// strings on the cold path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SymOutcome {
     /// No policy context matched; the interim grant stands unrecorded.
     NotApplicable,
     /// The fast path cannot decide this request (last step, or a shape
-    /// beyond the fixed buffers) — re-run it through the string engine.
+    /// beyond the fixed buffers) — [`dispatch`] re-runs it through the
+    /// string engine.
     Fallback,
     /// The grant stands.
     Grant {
@@ -395,14 +402,15 @@ pub enum SymOutcome {
     Deny(SymDeny),
 }
 
-/// Whether (and why) one request left the symbolized fast path for the
-/// string engine. Filled by
-/// [`SymEngine::enforce_or_fallback_metered`] so the service layer can
-/// count fallbacks without re-deriving them.
+/// Whether (and why) the string engine served one [`dispatch`]: the
+/// fast path declined the request, or no engine was compiled at all.
+/// Returned in [`Dispatched::path`] so the service layer can count
+/// fallbacks without re-deriving them.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SymPathStats {
-    /// The string engine served this request (interning overflow, a
-    /// last-step operation, or a shape beyond the fixed buffers).
+    /// The string engine served this request (no compiled engine,
+    /// interning overflow, a last-step operation, or a shape beyond the
+    /// fixed buffers).
     pub fell_back: bool,
     /// The fallback was specifically an interning overflow: the
     /// request carried more roles or context components than the fixed
@@ -434,10 +442,10 @@ pub struct SymDeny {
 /// Raw-symbol capture of one fast-path derivation: everything
 /// [`crate::explain::MsodExplanation`] holds, but as interner ids —
 /// capture costs integer copies, and strings materialise only in
-/// [`SymExplain::resolve`]. Reusable: [`SymExplain::clear`] keeps the
-/// allocations.
+/// [`SymExplain::resolve`], which [`dispatch`] calls when asked to
+/// explain.
 #[derive(Debug, Default)]
-pub struct SymExplain {
+pub(crate) struct SymExplain {
     policies: Vec<SymPolicyCap>,
     constraints: Vec<SymConstraintCap>,
     records: Vec<SymRecord>,
@@ -476,26 +484,14 @@ struct SymConstraintCap {
 
 impl SymExplain {
     /// A fresh, empty capture buffer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SymExplain::default()
-    }
-
-    /// Empty the buffer for reuse, keeping its allocations.
-    pub fn clear(&mut self) {
-        self.policies.clear();
-        self.constraints.clear();
-        self.records.clear();
-    }
-
-    /// Whether the captured derivation ended in a deny.
-    pub fn is_denied(&self) -> bool {
-        self.constraints.last().is_some_and(|c| c.denied)
     }
 
     /// Resolve every captured symbol through `table` into the
     /// canonical string-form explanation — identical to what
     /// [`MsodEngine::explain`] derives for the same request and state.
-    pub fn resolve(&self, table: &SymbolTable) -> crate::explain::MsodExplanation {
+    pub(crate) fn resolve(&self, table: &SymbolTable) -> crate::explain::MsodExplanation {
         use crate::explain::{
             ConstraintTrace, EntryTrace, MsodExplanation, PolicyTrace, RecordTrace,
         };
@@ -1056,45 +1052,32 @@ pub fn sharded_sym_adi(table: &Arc<SymbolTable>, shards: usize) -> ShardedAdi<Sy
     ShardedAdi::from_shards((0..shards.max(1)).map(|_| SymAdi::new(Arc::clone(table))).collect())
 }
 
-/// What the shards of a [`ShardedAdi`] offer the symbol plane — the
-/// answer to "may a compiled [`SymEngine`] run over this store, and
-/// against which table?" (see [`ShardedAdi::sym_tables`]).
-#[derive(Debug, Clone)]
-pub enum SymTables {
-    /// Some shard keeps no symbol index: a string-engine backend.
-    Absent,
-    /// Every shard keeps a symbol index and they all intern through
-    /// this one table, so an engine compiled against it is valid for
-    /// the whole store.
-    Shared(Arc<SymbolTable>),
-    /// Every shard keeps a symbol index, but not all over the same
-    /// table (`Arc::ptr_eq`) — e.g. durable shards each opened
-    /// standalone. A symbol means different things in different shards,
-    /// so no engine may run over them.
-    Mixed,
-}
-
 impl<A: RetainedAdi> ShardedAdi<A> {
-    /// Inspect every shard's [`RetainedAdi::sym_index`] (through the
-    /// unmetered locks) and report what they share.
-    pub fn sym_tables(&self) -> SymTables {
-        let mut first: Option<Arc<SymbolTable>> = None;
-        let mut mixed = false;
+    /// The one table every shard's [`RetainedAdi::sym_index`]
+    /// interns through (read through the unmetered locks), or `None`
+    /// when some shard keeps no symbol index — a string-engine store.
+    ///
+    /// # Panics
+    ///
+    /// If the shards' indexes intern through different tables
+    /// (`Arc::ptr_eq`) — e.g. durable shards each opened standalone. A
+    /// symbol would mean different things in different shards, so no
+    /// engine may run over them, and such a store is a deployment
+    /// mistake rather than a backend choice.
+    pub fn sym_table(&self) -> Option<Arc<SymbolTable>> {
+        let mut shared: Option<Arc<SymbolTable>> = None;
         for shard in &self.shards {
             let shard = shard.lock();
-            let Some(index) = shard.sym_index() else {
-                return SymTables::Absent;
-            };
-            match &first {
-                None => first = Some(Arc::clone(index.table())),
-                Some(table) => mixed |= !Arc::ptr_eq(table, index.table()),
+            let table = shard.sym_index()?.table();
+            match &shared {
+                None => shared = Some(Arc::clone(table)),
+                Some(first) => assert!(
+                    Arc::ptr_eq(first, table),
+                    "ADI shards index symbols through different symbol tables"
+                ),
             }
         }
-        match first {
-            Some(table) if !mixed => SymTables::Shared(table),
-            Some(_) => SymTables::Mixed,
-            None => SymTables::Absent,
-        }
+        shared
     }
 
     /// Cross-shard "context already started?" probe over a symbol
@@ -1109,7 +1092,7 @@ impl<A: RetainedAdi> ShardedAdi<A> {
 
 impl SymEngine {
     /// The §4.2 fast path on symbols, mirroring
-    /// [`MsodEngine::enforce_sharded_matched`] exactly: match policies,
+    /// [`MsodEngine::enforce_sharded`] exactly: match policies,
     /// probe step 3 across shards, evaluate steps 4–6 under the user's
     /// shard lock, commit at most one record. Returns
     /// [`SymOutcome::Fallback`] instead of deciding whenever a matched
@@ -1129,23 +1112,12 @@ impl SymEngine {
         self.enforce_sharded_inner(adi, req, matched, None)
     }
 
-    /// [`SymEngine::enforce_sharded`] with full provenance capture into
-    /// `explain` (cleared first): per-policy binding and step 3/4
+    /// [`SymEngine::enforce_sharded`], capturing the derivation into
+    /// `explain` when given one: per-policy binding and step 3/4
     /// outcomes, per-constraint multiset arithmetic with contributing
     /// record timestamps, and every consulted record — all as raw
     /// symbols ([`SymExplain::resolve`] renders them). Capture
-    /// allocates; keep it off the uninstrumented hot path.
-    pub fn enforce_sharded_explained<A: RetainedAdi>(
-        &self,
-        adi: &ShardedAdi<A>,
-        req: &SymRequest<'_>,
-        matched: &mut MatchedBuf,
-        explain: &mut SymExplain,
-    ) -> SymOutcome {
-        explain.clear();
-        self.enforce_sharded_inner(adi, req, matched, Some(explain))
-    }
-
+    /// allocates; the uninstrumented path passes `None`.
     fn enforce_sharded_inner<A: RetainedAdi>(
         &self,
         adi: &ShardedAdi<A>,
@@ -1303,167 +1275,117 @@ impl SymEngine {
         }
         Ok(Evaluated { want_record, consulted })
     }
+}
 
-    /// Run the fast path and fall back to the string engine for
-    /// anything it declines, producing the same [`MsodDecision`] the
-    /// string engine would. This is the one entry point the PDP calls:
-    /// the two engines share `adi` (the string path goes through the
-    /// shards' [`RetainedAdi`] impl), so fast-path and fallback
-    /// decisions observe and mutate one store.
-    pub fn enforce_or_fallback<A: RetainedAdi>(
-        &self,
-        string_engine: &MsodEngine,
-        table: &SymbolTable,
-        adi: &ShardedAdi<A>,
-        req: &MsodRequest<'_>,
-        bufs: &mut ReqBufs,
-        matched: &mut MatchedBuf,
-    ) -> MsodDecision {
-        self.enforce_or_fallback_metered(
-            string_engine,
-            table,
-            adi,
-            req,
-            bufs,
-            matched,
-            &mut SymPathStats::default(),
-        )
-    }
+/// Reusable admission scratch for [`dispatch`]: the fixed-capacity
+/// interning buffers and matched-policy list a request is admitted
+/// into on the symbol plane. Plain stack arrays — build one per
+/// decide, or one per batch to skip re-zeroing between requests.
+#[derive(Debug, Default)]
+pub struct MsodScratch {
+    bufs: ReqBufs,
+    matched: MatchedBuf,
+}
 
-    /// As [`enforce_or_fallback`](Self::enforce_or_fallback), recording
-    /// into `stats` whether (and why) the request left the fast path,
-    /// so the service layer can meter fallbacks without a second pass.
-    #[allow(clippy::too_many_arguments)]
-    pub fn enforce_or_fallback_metered<A: RetainedAdi>(
-        &self,
-        string_engine: &MsodEngine,
-        table: &SymbolTable,
-        adi: &ShardedAdi<A>,
-        req: &MsodRequest<'_>,
-        bufs: &mut ReqBufs,
-        matched: &mut MatchedBuf,
-        stats: &mut SymPathStats,
-    ) -> MsodDecision {
-        let outcome = match intern_request(table, req, bufs) {
-            Some(sym_req) => self.enforce_sharded(adi, &sym_req, matched),
+/// What one [`dispatch`] decided, and how.
+#[derive(Debug)]
+pub struct Dispatched {
+    /// The §4.2 verdict — the same one the string engine would reach.
+    pub decision: MsodDecision,
+    /// The full derivation, when the caller asked for one.
+    pub explanation: Option<MsodExplanation>,
+    /// Whether (and why) the string engine served the request.
+    pub path: SymPathStats,
+}
+
+/// The MSoD stage of a decide, whichever store and policy set it runs
+/// over: the one place a request enters §4.2 and the one place a
+/// [`SymOutcome`] becomes an [`MsodDecision`].
+///
+/// With a compiled `sym` engine the request is interned into `scratch`
+/// and decided on symbols. On [`SymOutcome::Fallback`] — or with no
+/// engine at all (a store without a symbol index, or a policy set
+/// [`SymEngine::compile`] refused) — the string engine decides it over
+/// the same shards: [`MsodEngine::enforce_sharded`], or, when
+/// `explain` is set, [`MsodEngine::explain`] and [`MsodEngine::enforce`]
+/// together on the exclusive view, so the explanation describes exactly
+/// the pre-decision state. A symbolized explanation rides the
+/// enforcement pass and is resolved against `table`, the table `sym`
+/// was compiled against and the shards intern through.
+pub fn dispatch<A: RetainedAdi>(
+    string_engine: &MsodEngine,
+    sym: Option<&SymEngine>,
+    table: &SymbolTable,
+    adi: &ShardedAdi<A>,
+    req: &MsodRequest<'_>,
+    scratch: &mut MsodScratch,
+    explain: bool,
+) -> Dispatched {
+    let mut path = SymPathStats::default();
+    let mut capture = explain.then(SymExplain::new);
+    let outcome = match sym {
+        None => SymOutcome::Fallback,
+        Some(sym) => match intern_request(table, req, &mut scratch.bufs) {
+            // A literal `None` on the uninstrumented path lets the
+            // capture branches compile out of the inlined engine; passing
+            // `capture.as_mut()` there cost 5–9% of in-memory decide
+            // throughput (paired harness runs, 2-CPU x86-64 VM).
+            Some(sym_req) => match capture.as_mut() {
+                None => sym.enforce_sharded(adi, &sym_req, &mut scratch.matched),
+                Some(c) => sym.enforce_sharded_inner(adi, &sym_req, &mut scratch.matched, Some(c)),
+            },
             None => {
-                stats.overflow = true;
+                path.overflow = true;
                 SymOutcome::Fallback
             }
-        };
-        if matches!(outcome, SymOutcome::Fallback) {
-            stats.fell_back = true;
-        }
-        match outcome {
-            SymOutcome::NotApplicable => MsodDecision::NotApplicable,
-            SymOutcome::Fallback => {
-                let matched = string_engine.policies().matching(req.context);
-                string_engine.enforce_sharded_matched(adi, req, matched)
-            }
-            SymOutcome::Grant { records_added, records_consulted } => {
-                MsodDecision::Grant(GrantDetail {
-                    matched_policies: matched
-                        .as_slice()
-                        .iter()
-                        .map(|&pi| usize::from(pi))
-                        .collect(),
-                    records_added,
-                    terminated: Vec::new(),
-                    records_purged: 0,
-                    records_consulted,
-                })
-            }
-            SymOutcome::Deny(d) => {
-                let bound = string_engine.policies().policies()[d.policy_index]
-                    .business_context
-                    .bind(req.context)
-                    .expect("matched instance must bind");
-                MsodDecision::Deny(DenyDetail {
-                    policy_index: d.policy_index,
-                    bound,
-                    kind: d.kind,
-                    constraint_index: d.constraint_index,
-                    current_matches: d.current_matches,
-                    history_matches: d.history_matches,
-                    forbidden_cardinality: d.forbidden_cardinality,
-                    records_consulted: d.records_consulted,
-                })
-            }
-        }
-    }
-
-    /// [`enforce_or_fallback`](Self::enforce_or_fallback) with
-    /// provenance capture: the symbolized path records its derivation
-    /// into `scratch` and resolves it against `table`; the fallback
-    /// path derives the explanation with [`MsodEngine::explain`] on
-    /// the same exclusive view the string enforce runs against, so
-    /// the explanation always describes the exact pre-decision state.
-    #[allow(clippy::too_many_arguments)]
-    pub fn enforce_or_fallback_explained<A: RetainedAdi>(
-        &self,
-        string_engine: &MsodEngine,
-        table: &SymbolTable,
-        adi: &ShardedAdi<A>,
-        req: &MsodRequest<'_>,
-        bufs: &mut ReqBufs,
-        matched: &mut MatchedBuf,
-        scratch: &mut SymExplain,
-        stats: &mut SymPathStats,
-    ) -> (MsodDecision, MsodExplanation) {
-        scratch.clear();
-        let outcome = match intern_request(table, req, bufs) {
-            Some(sym_req) => self.enforce_sharded_explained(adi, &sym_req, matched, scratch),
-            None => {
-                stats.overflow = true;
-                SymOutcome::Fallback
-            }
-        };
-        if matches!(outcome, SymOutcome::Fallback) {
-            stats.fell_back = true;
-        }
-        match outcome {
-            SymOutcome::NotApplicable => {
-                (MsodDecision::NotApplicable, MsodExplanation::not_applicable())
-            }
-            SymOutcome::Fallback => adi.with_exclusive(|view| {
+        },
+    };
+    path.fell_back = outcome == SymOutcome::Fallback;
+    let (decision, explanation) = match outcome {
+        SymOutcome::Fallback if explain => {
+            let (decision, ex) = adi.with_exclusive(|view| {
                 let ex = string_engine.explain(&*view, req);
                 (string_engine.enforce(view, req), ex)
+            });
+            (decision, Some(ex))
+        }
+        SymOutcome::Fallback => (string_engine.enforce_sharded(adi, req), None),
+        SymOutcome::NotApplicable => {
+            (MsodDecision::NotApplicable, explain.then(MsodExplanation::not_applicable))
+        }
+        SymOutcome::Grant { records_added, records_consulted } => (
+            MsodDecision::Grant(GrantDetail {
+                matched_policies: scratch
+                    .matched
+                    .as_slice()
+                    .iter()
+                    .map(|&pi| usize::from(pi))
+                    .collect(),
+                records_added,
+                terminated: Vec::new(),
+                records_purged: 0,
+                records_consulted,
             }),
-            SymOutcome::Grant { records_added, records_consulted } => (
-                MsodDecision::Grant(GrantDetail {
-                    matched_policies: matched
-                        .as_slice()
-                        .iter()
-                        .map(|&pi| usize::from(pi))
-                        .collect(),
-                    records_added,
-                    terminated: Vec::new(),
-                    records_purged: 0,
-                    records_consulted,
-                }),
-                scratch.resolve(table),
-            ),
-            SymOutcome::Deny(d) => {
-                let bound = string_engine.policies().policies()[d.policy_index]
+            capture.map(|c| c.resolve(table)),
+        ),
+        SymOutcome::Deny(d) => (
+            MsodDecision::Deny(DenyDetail {
+                policy_index: d.policy_index,
+                bound: string_engine.policies().policies()[d.policy_index]
                     .business_context
                     .bind(req.context)
-                    .expect("matched instance must bind");
-                (
-                    MsodDecision::Deny(DenyDetail {
-                        policy_index: d.policy_index,
-                        bound,
-                        kind: d.kind,
-                        constraint_index: d.constraint_index,
-                        current_matches: d.current_matches,
-                        history_matches: d.history_matches,
-                        forbidden_cardinality: d.forbidden_cardinality,
-                        records_consulted: d.records_consulted,
-                    }),
-                    scratch.resolve(table),
-                )
-            }
-        }
-    }
+                    .expect("matched instance must bind"),
+                kind: d.kind,
+                constraint_index: d.constraint_index,
+                current_matches: d.current_matches,
+                history_matches: d.history_matches,
+                forbidden_cardinality: d.forbidden_cardinality,
+                records_consulted: d.records_consulted,
+            }),
+            capture.map(|c| c.resolve(table)),
+        ),
+    };
+    Dispatched { decision, explanation, path }
 }
 
 /// The matched policies' bound context patterns (row `k` belongs to
@@ -1846,8 +1768,7 @@ mod tests {
             let sym = SymEngine::compile(&set, &EngineOptions::default(), &table).unwrap();
             let sym_adi = sharded_sym_adi(&table, 4);
             let str_adi: ShardedAdi<MemoryAdi> = ShardedAdi::new(4);
-            let mut bufs = ReqBufs::new();
-            let mut matched = MatchedBuf::new();
+            let mut scratch = MsodScratch::default();
 
             for (ts, &(u, r, op, c)) in seed_requests.iter().enumerate() {
                 let user = format!("user{u}");
@@ -1863,16 +1784,17 @@ mod tests {
                     context: &ctx,
                     timestamp: ts as u64,
                 };
-                let got = sym.enforce_or_fallback(
+                let got = dispatch(
                     &string_engine,
+                    Some(&sym),
                     &table,
                     &sym_adi,
                     &req,
-                    &mut bufs,
-                    &mut matched,
-                );
-                let want_matched = string_engine.policies().matching(&ctx);
-                let want = string_engine.enforce_sharded_matched(&str_adi, &req, want_matched);
+                    &mut scratch,
+                    false,
+                )
+                .decision;
+                let want = string_engine.enforce_sharded(&str_adi, &req);
                 assert_eq!(got, want, "divergence at ts={ts} req={req:?}");
                 assert_eq!(sym_adi.snapshot(), str_adi.snapshot(), "ADI divergence at ts={ts}");
             }
@@ -1906,9 +1828,7 @@ mod tests {
         let sym = SymEngine::compile(&set, &EngineOptions::default(), &table).unwrap();
         let sym_adi = sharded_sym_adi(&table, 4);
         let str_adi: ShardedAdi<MemoryAdi> = ShardedAdi::new(4);
-        let mut bufs = ReqBufs::new();
-        let mut matched = MatchedBuf::new();
-        let mut scratch = SymExplain::new();
+        let mut scratch = MsodScratch::default();
 
         // Same stream as `differential_against_string_engine`: denies
         // from both constraint kinds, duplicate entries, first-step
@@ -1939,16 +1859,9 @@ mod tests {
                 context: &ctx,
                 timestamp: ts as u64,
             };
-            let (got, got_ex) = sym.enforce_or_fallback_explained(
-                &string_engine,
-                &table,
-                &sym_adi,
-                &req,
-                &mut bufs,
-                &mut matched,
-                &mut scratch,
-                &mut SymPathStats::default(),
-            );
+            let got =
+                dispatch(&string_engine, Some(&sym), &table, &sym_adi, &req, &mut scratch, true);
+            let (got, got_ex) = (got.decision, got.explanation.expect("explain requested"));
             let (want, want_ex) = str_adi.with_exclusive(|view| {
                 let ex = string_engine.explain(&*view, &req);
                 (string_engine.enforce(view, &req), ex)
@@ -1980,8 +1893,7 @@ mod tests {
                 SymEngine::compile(&set, &EngineOptions::default(), &table).unwrap();
             let sym_adi = sharded_sym_adi(&table, 3);
             let str_adi: ShardedAdi<MemoryAdi> = ShardedAdi::new(3);
-            let mut bufs = ReqBufs::new();
-            let mut matched = MatchedBuf::new();
+            let mut scratch = MsodScratch::default();
 
             for (ts, &(u, r, op, c)) in reqs.iter().enumerate() {
                 let user = format!("user{u}");
@@ -1997,12 +1909,10 @@ mod tests {
                     context: &ctx,
                     timestamp: ts as u64,
                 };
-                let got = sym.enforce_or_fallback(
-                    &string_engine, &table, &sym_adi, &req, &mut bufs, &mut matched,
-                );
-                let want_matched = string_engine.policies().matching(&ctx);
-                let want =
-                    string_engine.enforce_sharded_matched(&str_adi, &req, want_matched);
+                let got = dispatch(
+                    &string_engine, Some(&sym), &table, &sym_adi, &req, &mut scratch, false,
+                ).decision;
+                let want = string_engine.enforce_sharded(&str_adi, &req);
                 prop_assert_eq!(got, want, "divergence at ts={}", ts);
                 prop_assert_eq!(sym_adi.snapshot(), str_adi.snapshot());
             }
@@ -2022,8 +1932,7 @@ mod tests {
             let sym = SymEngine::compile(&set, &opts, &table).unwrap();
             let sym_adi = sharded_sym_adi(&table, 2);
             let str_adi: ShardedAdi<MemoryAdi> = ShardedAdi::new(2);
-            let mut bufs = ReqBufs::new();
-            let mut matched = MatchedBuf::new();
+            let mut scratch = MsodScratch::default();
 
             for (ts, &(u, r, op, c)) in reqs.iter().enumerate() {
                 let user = format!("user{u}");
@@ -2039,12 +1948,10 @@ mod tests {
                     context: &ctx,
                     timestamp: ts as u64,
                 };
-                let got = sym.enforce_or_fallback(
-                    &string_engine, &table, &sym_adi, &req, &mut bufs, &mut matched,
-                );
-                let want_matched = string_engine.policies().matching(&ctx);
-                let want =
-                    string_engine.enforce_sharded_matched(&str_adi, &req, want_matched);
+                let got = dispatch(
+                    &string_engine, Some(&sym), &table, &sym_adi, &req, &mut scratch, false,
+                ).decision;
+                let want = string_engine.enforce_sharded(&str_adi, &req);
                 prop_assert_eq!(got, want, "divergence at ts={}", ts);
                 prop_assert_eq!(sym_adi.snapshot(), str_adi.snapshot());
             }

@@ -6,16 +6,16 @@
 //! server→client, strictly one response per request in order.
 //!
 //! Request strings ride a **per-connection dictionary**, reusing the
-//! journal-v2 interning discipline ([`storage`]'s `OP_DEF` frames): the
-//! client assigns dense sequential ids to each distinct string, ships
-//! the definitions once in a [`Request::DefStrs`] frame, and every
-//! subsequent request names identities by `u32` reference. The server
-//! resolves references against the connection's dictionary and interns
-//! them into the service's symbol table once at admission — a repeated
-//! user/role/context never crosses the wire or the interner twice.
-//! Responses carry plain inline strings (they are read by humans and
-//! test harnesses, and the server cannot know the client's dictionary
-//! ids for strings the client never defined).
+//! journal-v2 interning discipline (the `storage` crate's `OP_DEF`
+//! frames): the client assigns dense sequential ids to each distinct
+//! string, ships the definitions once in a [`Request::DefStrs`] frame,
+//! and every subsequent request names identities by `u32` reference.
+//! The server resolves references against the connection's dictionary
+//! and interns them into the service's symbol table once at admission —
+//! a repeated user/role/context never crosses the wire or the interner
+//! twice. Responses carry plain inline strings (they are read by humans
+//! and test harnesses, and the server cannot know the client's
+//! dictionary ids for strings the client never defined).
 //!
 //! Decoding is hostile-input safe: all offset arithmetic is
 //! checked-add chained, element counts are bounded by the remaining

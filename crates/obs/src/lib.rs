@@ -8,10 +8,8 @@
 //!   last-write-wins gauges over `AtomicU64`.
 //! * [`Histogram`] — fixed power-of-two-bucket latency histograms
 //!   (atomic bucket arrays, mergeable [`HistogramSnapshot`]s).
-//! * [`Stopwatch`] / [`Span`] — lightweight span timing; a [`Span`] is
-//!   a scope guard that records its elapsed nanoseconds into a
-//!   histogram on drop and maintains a thread-local stack of active
-//!   span names for nested-phase attribution.
+//! * [`Stopwatch`] — a monotonic clock whose checkpoints and laps feed
+//!   the histograms.
 //! * [`TraceRing`] — a bounded lock-free ring buffer of recent
 //!   decision traces, so "why was this denied?" is answerable after
 //!   the fact.
@@ -35,14 +33,14 @@ mod flight;
 mod hist;
 mod prom;
 mod ring;
-mod span;
+mod stopwatch;
 
 pub use counter::{Counter, Gauge, Sampler};
 pub use flight::{FlightRecorder, DUMP_BUDGET};
 pub use hist::{Histogram, HistogramSnapshot, BUCKETS};
 pub use prom::{validate_metrics_text, PromWriter};
 pub use ring::TraceRing;
-pub use span::{active_spans, Span, Stopwatch};
+pub use stopwatch::Stopwatch;
 
 /// `true` unless instrumentation was compiled out with `obs-off`.
 /// Lets callers skip building trace payloads (string clones) that a

@@ -39,9 +39,10 @@ pub struct Explanation {
     pub roles: Vec<String>,
     /// The stable deny-reason string; `None` on grants.
     pub reason: Option<String>,
-    /// Which plane decided: `"symbolized"` when the fast path served
-    /// the service (including its per-request string fallbacks),
-    /// `"string"` otherwise.
+    /// Which engine decided the MSoD stage: `"sym"` for the compiled
+    /// symbol engine, `"string"` for the string engine (a fallback, or a
+    /// service with no compiled engine), `"front_end"` when the request
+    /// never reached MSoD, `"replica_gate"` when a replica refused it.
     pub engine: &'static str,
     /// The §4.2 derivation. `None` when the front end denied before
     /// MSoD ran, or when instrumentation is compiled out (`obs-off`).

@@ -74,28 +74,23 @@ pub struct DecisionTrace {
 
 /// One always-on black-box entry: a sampled (or anomalous) decision
 /// with its phase checkpoints, shard-lock telemetry and the request
-/// identity as cheap interned symbols where the service has a symbol
-/// table (resolved to strings only when a snapshot is rendered).
+/// identity as a cheap interned symbol (resolved to a string only when
+/// a snapshot is rendered).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlightEntry {
     /// Request timestamp (the caller's clock, as audited).
     pub timestamp: u64,
-    /// Interned user symbol on symbolized services; [`u32::MAX`]
-    /// elsewhere (then `user` carries the string).
+    /// The requesting user, interned in the service's symbol table.
     pub user_sym: u32,
-    /// The requesting user, when no symbol table is available to defer
-    /// the clone to render time; empty otherwise.
-    pub user: String,
     /// `true` for grants.
     pub granted: bool,
-    /// Whether the symbolized fast path handed this request to the
-    /// string engine.
+    /// Whether the string engine decided this request's MSoD stage.
     pub fell_back: bool,
     /// End-to-end decide latency.
     pub total_ns: u64,
     /// Phase 1 (credential validation) checkpoint.
     pub front_ns: u64,
-    /// Phase 2+3 (context match + MSoD) checkpoint.
+    /// Phase 2 (context match + MSoD) checkpoint.
     pub msod_ns: u64,
     /// Retained-ADI records visited by the MSoD stage.
     pub records_consulted: usize,
@@ -157,15 +152,15 @@ pub struct DecideMetrics {
     pub decide_ns: Histogram,
     /// Phase 1: credential validation (subject domain, CVS, RBAC).
     pub front_end_ns: Histogram,
-    /// Phase 2: matching the context instance against the policy set.
-    pub context_match_ns: Histogram,
-    /// Phase 3: §4.2 MSoD enforcement against the sharded ADI.
+    /// Phase 2: context matching and §4.2 MSoD enforcement against the
+    /// sharded ADI (one dispatch, so one phase).
     pub msod_ns: Histogram,
-    /// Phase 4: the audit-trail append (lock + hash-chain extend).
+    /// Phase 3: the audit-trail append (lock + hash-chain extend).
     pub audit_append_ns: Histogram,
     /// Gates the phase histograms to 1-in-[`PHASE_SAMPLE`] decisions.
     pub phase_sampler: Sampler,
-    /// Requests the symbolized fast path handed to the string engine.
+    /// MSoD-stage decides the string engine served: the symbolized
+    /// fast path declined them, or no engine was compiled.
     pub sym_fallbacks: Counter,
     /// Fallbacks caused specifically by the request overflowing the
     /// fixed interning buffers (roles or context depth).
@@ -210,7 +205,6 @@ impl Default for DecideMetrics {
             denies: Counter::new(),
             decide_ns: Histogram::new(),
             front_end_ns: Histogram::new(),
-            context_match_ns: Histogram::new(),
             msod_ns: Histogram::new(),
             audit_append_ns: Histogram::new(),
             phase_sampler: Sampler::new(),
@@ -397,12 +391,6 @@ impl DecideMetrics {
         w.histogram(
             "permis_decide_phase_ns",
             PHASE_HELP,
-            &[("phase", "context_match")],
-            &self.context_match_ns.snapshot(),
-        );
-        w.histogram(
-            "permis_decide_phase_ns",
-            PHASE_HELP,
             &[("phase", "msod")],
             &self.msod_ns.snapshot(),
         );
@@ -420,7 +408,7 @@ impl DecideMetrics {
         );
         w.counter(
             "permis_sym_fallback_total",
-            "Decides the symbolized engine handed back to the string engine.",
+            "MSoD-stage decides the string engine served instead of the symbolized engine.",
             &[],
             self.sym_fallbacks.get(),
         );
@@ -483,12 +471,11 @@ impl DecideMetrics {
 
 /// Render a flight-recorder snapshot as a self-contained JSON
 /// document: the trigger reason plus every retained black-box entry,
-/// oldest first, with interned user symbols resolved through `table`
-/// where one is available.
+/// oldest first, with interned user symbols resolved through `table`.
 pub fn render_flight_snapshot(
     reason: &str,
     entries: &[FlightEntry],
-    table: Option<&SymbolTable>,
+    table: &SymbolTable,
 ) -> String {
     use crate::explain::json_string;
     let mut out = String::with_capacity(256 + entries.len() * 160);
@@ -499,12 +486,7 @@ pub fn render_flight_snapshot(
         if i > 0 {
             out.push(',');
         }
-        let user = match table {
-            Some(t) if e.user_sym != u32::MAX => {
-                t.resolve_user(symtab::UserId::from_u32(e.user_sym)).to_string()
-            }
-            _ => e.user.clone(),
-        };
+        let user = table.resolve_user(symtab::UserId::from_u32(e.user_sym));
         out.push_str(&format!(
             "{{\"timestamp\":{},\"user\":{},\"granted\":{},\"fell_back\":{},\
              \"total_ns\":{},\"front_ns\":{},\"msod_ns\":{},\"records_consulted\":{},\
@@ -575,7 +557,7 @@ mod tests {
         m.export(&mut w);
         let text = w.finish();
         assert!(text.contains("permis_decisions_total"));
-        for phase in ["front_end", "context_match", "msod", "audit_append"] {
+        for phase in ["front_end", "msod", "audit_append"] {
             assert!(text.contains(&format!("phase=\"{phase}\"")), "missing {phase}:\n{text}");
         }
         // One HELP/TYPE declaration per family, however many label sets.

@@ -13,12 +13,12 @@
 //!   lock. Mutations (`set_policy`, `register_authority_key`, …) build
 //!   a fresh core and swap the `Arc` atomically — in-flight decisions
 //!   keep the core they started with.
-//! - **Write plane** — retained ADI lives in a
-//!   [`ShardedAdi`](msod::ShardedAdi) keyed by user: check under the
-//!   requesting user's shard lock, commit on grant, with a short global
-//!   epoch write lock only for cross-user operations (last-step
-//!   terminations, management purges, recovery). The audit trail sits
-//!   behind its own mutex so its HMAC chain stays strictly ordered.
+//! - **Write plane** — retained ADI lives in a [`msod::ShardedAdi`]
+//!   keyed by user: check under the requesting user's shard lock,
+//!   commit on grant, with a short global epoch write lock only for
+//!   cross-user operations (last-step terminations, management purges,
+//!   recovery). The audit trail sits behind its own mutex so its HMAC
+//!   chain stays strictly ordered.
 //!
 //! One pipeline serves every deployment. The shards keep a symbolized
 //! index over one shared `SymbolTable` — the in-memory
@@ -29,21 +29,21 @@
 //! [`RetainedAdi::sym_index`] / [`RetainedAdi::commit_sym`] seam (for a
 //! durable shard: journal frame first, index second). Durability, the
 //! management port (§4.3) and start-up recovery (§5.2) are layers of
-//! this pipeline, not second copies of it. The string engine serves
-//! what the fast path declines (last steps, oversize requests) and
-//! stores that offer no shared table — the reference `MemoryAdi` the
-//! tests compare against, or symbolized shards that were not opened
-//! against one table, which the service detects at assembly and
-//! reports ([`DecisionService::sym_table_mismatch`]).
+//! this pipeline, not second copies of it. The MSoD stage is one call,
+//! [`msod::dispatch`], for every store: the string engine serves what
+//! the fast path declines (last steps, oversize requests, policy sets
+//! the compiler refuses) and stores that keep no symbol index — the
+//! reference `MemoryAdi` the tests compare against. Symbolized shards
+//! that do not share one table are refused at assembly
+//! ([`DecisionService::from_shards`]).
 
 use std::sync::Arc;
 
 use audit::{AuditError, AuditEvent, AuditTrail, TrailStore};
 use credential::{AttributeCredential, CredentialValidationService, Directory};
 use msod::{
-    sharded_sym_adi, AdiRecord, ConstraintKind, EngineOptions, MatchedBuf, MsodDecision,
-    MsodEngine, MsodExplanation, MsodRequest, ReqBufs, RetainedAdi, RoleRef, ShardedAdi, SymAdi,
-    SymEngine, SymExplain, SymPathStats, SymTables,
+    sharded_sym_adi, AdiRecord, ConstraintKind, EngineOptions, MsodDecision, MsodEngine,
+    MsodExplanation, MsodRequest, MsodScratch, RetainedAdi, RoleRef, ShardedAdi, SymAdi, SymEngine,
 };
 use obs::{PromWriter, Stopwatch};
 use parking_lot::{Mutex, RwLock};
@@ -118,17 +118,6 @@ struct ExplainSlot {
     engine: &'static str,
 }
 
-/// Reusable admission scratch: the fixed-capacity interning buffers
-/// every request is admitted into on the symbol plane. `decide` builds
-/// one per call (they are plain stack arrays); `decide_many` builds
-/// one per *batch*, so the whole batch is admitted through the same
-/// buffers without re-zeroing them between requests.
-#[derive(Default)]
-struct DecideScratch {
-    bufs: ReqBufs,
-    matched: MatchedBuf,
-}
-
 /// Which replication role a [`DecisionService`] is currently playing.
 ///
 /// Decisions and management operations mutate the retained ADI, so in
@@ -155,17 +144,16 @@ pub struct DecisionService<A: RetainedAdi = SymAdi> {
     adi: ShardedAdi<A>,
     audit: Mutex<AuditPlane>,
     trail_key: Vec<u8>,
-    /// Present when every ADI shard keeps a symbol index over one
-    /// table ([`ShardedAdi::sym_tables`], checked once at assembly):
-    /// the append-only table shared by the shards and every compiled
-    /// [`SymEngine`]. Policy swaps recompile against the same table, so
-    /// symbols stay stable for the life of the service. `None` means
-    /// the string engine serves every decide.
-    sym_table: Option<Arc<SymbolTable>>,
-    /// The shards keep symbol indexes but over *different* tables, so
-    /// `sym_table` is `None` although the backend is symbolized — a
-    /// deployment mistake worth surfacing, not a backend choice.
-    sym_table_mismatch: bool,
+    /// The append-only symbol table shared by the shards' symbol
+    /// indexes and every compiled [`SymEngine`] — or, for a store that
+    /// keeps no symbol index, a private one that only the flight
+    /// recorder interns into. Policy swaps recompile against the same
+    /// table, so symbols stay stable for the life of the service.
+    sym_table: Arc<SymbolTable>,
+    /// Whether the shards index symbols through `sym_table` (checked
+    /// once at assembly, [`ShardedAdi::sym_table`]), so cores compile
+    /// a [`SymEngine`]. `false`: the string engine serves every decide.
+    symbolized: bool,
     /// `false` = primary (the default), `true` = replica. An atomic,
     /// not a lock: role flips (lease grant/expiry) race benignly with
     /// in-flight decides exactly as they would across the network.
@@ -184,7 +172,6 @@ impl<A: RetainedAdi> std::fmt::Debug for DecisionService<A> {
             .field("policy", &core.policy.id)
             .field("adi_shards", &self.adi.shard_count())
             .field("engine", &if core.sym.is_some() { "sym" } else { "string" })
-            .field("sym_table_mismatch", &self.sym_table_mismatch)
             .field("audit_records", &self.audit.lock().trail.len())
             .finish()
     }
@@ -217,11 +204,6 @@ impl DecisionService<SymAdi> {
         trail_key: impl Into<Vec<u8>>,
     ) -> Result<Self, PolicyError> {
         Ok(DecisionService::new_symbolized(parse_rbac_policy(xml)?, trail_key))
-    }
-
-    /// The symbol table shared by this service's engine and ADI.
-    pub fn symbol_table(&self) -> &Arc<SymbolTable> {
-        self.sym_table.as_ref().expect("symbolized service always holds a table")
     }
 }
 
@@ -317,25 +299,30 @@ impl<A: RetainedAdi + 'static> DecisionService<A> {
     /// Service over a pre-built sharded store (e.g. one
     /// `storage::PersistentAdi` per shard).
     ///
-    /// Which engine serves it is read off the shards
-    /// ([`ShardedAdi::sym_tables`]): symbol indexes over one shared
-    /// table get the compiled [`SymEngine`]; anything else — including
-    /// symbolized shards over *different* tables, against which no
-    /// engine could be compiled soundly — gets the string engine (see
-    /// [`DecisionService::sym_table_mismatch`]).
+    /// Shards whose symbol indexes share one table get the compiled
+    /// [`SymEngine`]; a store that keeps no symbol index (the reference
+    /// `MemoryAdi`) is decided on the string engine, and the service
+    /// owns a private table for it.
+    ///
+    /// # Panics
+    ///
+    /// If the shards' symbol indexes intern through different tables
+    /// ([`ShardedAdi::sym_table`]) — e.g. durable shards each opened
+    /// standalone instead of against one table. No engine could run
+    /// over them soundly, so the store is refused rather than served
+    /// slowly on the string engine.
     pub fn from_shards(
         policy: PdpPolicy,
         trail_key: impl Into<Vec<u8>>,
         adi: ShardedAdi<A>,
     ) -> Self {
         let trail_key = trail_key.into();
-        let (sym_table, sym_table_mismatch) = match adi.sym_tables() {
-            SymTables::Shared(table) => (Some(table), false),
-            SymTables::Mixed => (None, true),
-            SymTables::Absent => (None, false),
-        };
+        let shared = adi.sym_table();
+        let symbolized = shared.is_some();
+        let sym_table = shared.unwrap_or_default();
+        let core = DecisionCore::from_policy(policy, symbolized.then_some(&*sym_table));
         DecisionService {
-            core: RwLock::new(Arc::new(DecisionCore::from_policy(policy, sym_table.as_deref()))),
+            core: RwLock::new(Arc::new(core)),
             adi,
             audit: Mutex::new(AuditPlane {
                 trail: AuditTrail::new(trail_key.clone()),
@@ -343,7 +330,7 @@ impl<A: RetainedAdi + 'static> DecisionService<A> {
             }),
             trail_key,
             sym_table,
-            sym_table_mismatch,
+            symbolized,
             is_replica: std::sync::atomic::AtomicBool::new(false),
             apply_epoch: std::sync::atomic::AtomicU64::new(0),
             metrics: DecideMetrics::default(),
@@ -361,14 +348,17 @@ impl<A: RetainedAdi + 'static> DecisionService<A> {
         &self.adi
     }
 
-    /// Whether the ADI shards keep symbol indexes over *different*
-    /// tables (each opened standalone instead of against one shared
-    /// table). Such a service is correct but slow: it never runs a
-    /// [`SymEngine`] — a symbol would mean different things in
-    /// different shards — and decides on the string engine instead.
-    /// Also exported as the `permis_sym_table_mismatch` gauge.
-    pub fn sym_table_mismatch(&self) -> bool {
-        self.sym_table_mismatch
+    /// The symbol table this service interns through: the one its ADI
+    /// shards and compiled engine share, or its private table when the
+    /// store keeps no symbol index.
+    pub fn symbol_table(&self) -> &Arc<SymbolTable> {
+        &self.sym_table
+    }
+
+    /// The table cores compile a [`SymEngine`] against; `None` when the
+    /// store keeps no symbol index.
+    fn engine_table(&self) -> Option<&SymbolTable> {
+        self.symbolized.then_some(&*self.sym_table)
     }
 
     /// Replace the policy (PDP re-initialisation): rebuilds the CVS
@@ -377,7 +367,7 @@ impl<A: RetainedAdi + 'static> DecisionService<A> {
     /// re-filter history against the new policy set.
     pub fn set_policy(&self, policy: PdpPolicy) {
         let mut core = self.core.write();
-        let mut next = DecisionCore::from_policy(policy, self.sym_table.as_deref());
+        let mut next = DecisionCore::from_policy(policy, self.engine_table());
         next.directory = core.directory.clone();
         *core = Arc::new(next);
     }
@@ -402,8 +392,7 @@ impl<A: RetainedAdi + 'static> DecisionService<A> {
     pub fn set_engine_options(&self, options: EngineOptions) {
         self.mutate_core(|core| {
             core.sym = self
-                .sym_table
-                .as_deref()
+                .engine_table()
                 .and_then(|t| SymEngine::compile(core.engine.policies(), &options, t));
             core.engine = MsodEngine::with_options(core.engine.policies().clone(), options);
         });
@@ -439,16 +428,7 @@ impl<A: RetainedAdi + 'static> DecisionService<A> {
         self.metrics.export(&mut w);
         self.adi.export_metrics(&mut w);
         self.audit.lock().trail.export_metrics(&mut w);
-        if let Some(table) = self.sym_table.as_deref() {
-            crate::metrics::export_symtab(&mut w, table);
-        }
-        w.gauge(
-            "permis_sym_table_mismatch",
-            "1 when the ADI shards keep symbol indexes over different tables, \
-             which forces every decide onto the string engine.",
-            &[],
-            u64::from(self.sym_table_mismatch),
-        );
+        crate::metrics::export_symtab(&mut w, &self.sym_table);
         w.finish()
     }
 
@@ -504,7 +484,7 @@ impl<A: RetainedAdi + 'static> DecisionService<A> {
             return outcome;
         }
         let core = self.core();
-        self.decide_impl(&core, req, None, &mut DecideScratch::default())
+        self.decide_impl(&core, req, None, &mut MsodScratch::default())
     }
 
     /// This service's replication role. [`ReplicaRole::Primary`]
@@ -570,7 +550,7 @@ impl<A: RetainedAdi + 'static> DecisionService<A> {
             return reqs.iter().map(|r| self.decide(r)).collect();
         }
         let core = self.core();
-        let mut scratch = DecideScratch::default();
+        let mut scratch = MsodScratch::default();
         reqs.iter().map(|req| self.decide_impl(&core, req, None, &mut scratch)).collect()
     }
 
@@ -597,7 +577,7 @@ impl<A: RetainedAdi + 'static> DecisionService<A> {
     fn decide_explained_impl(&self, req: &DecisionRequest) -> (DecisionOutcome, Explanation) {
         let mut slot = ExplainSlot::default();
         let core = self.core();
-        let mut scratch = DecideScratch::default();
+        let mut scratch = MsodScratch::default();
         let outcome = if obs::enabled() {
             self.decide_impl(&core, req, Some(&mut slot), &mut scratch)
         } else {
@@ -612,8 +592,8 @@ impl<A: RetainedAdi + 'static> DecisionService<A> {
         &self,
         core: &DecisionCore,
         req: &DecisionRequest,
-        mut explain: Option<&mut ExplainSlot>,
-        scratch: &mut DecideScratch,
+        explain: Option<&mut ExplainSlot>,
+        scratch: &mut MsodScratch,
     ) -> DecisionOutcome {
         // One stopwatch, checkpoint deltas between phases — taken only
         // on sampled decisions. At microsecond decide latency the
@@ -651,93 +631,42 @@ impl<A: RetainedAdi + 'static> DecisionService<A> {
                     timestamp: req.timestamp,
                 };
 
-                // Phases 2–3: context match + §4.2 enforcement. On a
-                // symbolized service (in memory or journaled) both run
-                // inside the symbol plane — the request is interned
-                // once and matching happens on dense symbols, so the
-                // phases fuse (context_match_ns is recorded only on the
-                // string path, where matching is a separate
-                // allocation-bearing step). `core.sym` exists only
-                // when `sym_table` does: assembly verified that every
-                // shard's symbol index interns through that table.
-                let t_match;
-                let decision = 'msod: {
-                    if let (Some(sym), Some(table)) = (core.sym.as_ref(), self.sym_table.as_deref())
-                    {
-                        t_match = t_front;
-                        let mut stats = SymPathStats::default();
-                        let decision = if let Some(slot) = explain.as_deref_mut() {
-                            let mut ex_scratch = SymExplain::new();
-                            let (decision, ex) = sym.enforce_or_fallback_explained(
-                                &core.engine,
-                                table,
-                                &self.adi,
-                                &msod_req,
-                                &mut scratch.bufs,
-                                &mut scratch.matched,
-                                &mut ex_scratch,
-                                &mut stats,
-                            );
-                            slot.msod = Some(ex);
-                            decision
-                        } else {
-                            sym.enforce_or_fallback_metered(
-                                &core.engine,
-                                table,
-                                &self.adi,
-                                &msod_req,
-                                &mut scratch.bufs,
-                                &mut scratch.matched,
-                                &mut stats,
-                            )
-                        };
-                        fell_back = stats.fell_back;
-                        if stats.fell_back {
-                            self.metrics.sym_fallbacks.inc();
-                        }
-                        if stats.overflow {
-                            self.metrics.reqbuf_overflows.inc();
-                            self.fire_flight("sym_fallback_overflow");
-                        }
-                        if let Some(slot) = explain.as_deref_mut() {
-                            slot.engine = if stats.fell_back { "string" } else { "sym" };
-                        }
-                        break 'msod decision;
-                    }
-                    let matched = core.engine.policies().matching(&req.context);
-                    t_match = if sample {
-                        let t = clock.elapsed_ns();
-                        self.metrics.context_match_ns.record(t - t_front);
-                        t
-                    } else {
-                        0
-                    };
-                    if let Some(slot) = explain {
-                        // Explained string-path decides derive the
-                        // explanation against the exact pre-decision
-                        // state, so both run under the exclusive epoch
-                        // lock (diagnostics pay for atomicity; the
-                        // unexplained path below stays shard-parallel).
-                        slot.engine = "string";
-                        let (decision, ex) = self.adi.with_exclusive(|view| {
-                            let ex = core.engine.explain(&*view, &msod_req);
-                            (core.engine.enforce(view, &msod_req), ex)
-                        });
-                        slot.msod = Some(ex);
-                        break 'msod decision;
-                    }
-                    core.engine.enforce_sharded_matched(&self.adi, &msod_req, matched)
-                };
+                // Phase 2: context match + §4.2 enforcement, one
+                // dispatch whatever the store. On a symbolized service
+                // (in memory or journaled) the request is interned once
+                // and matched and decided on dense symbols; the string
+                // engine takes what the fast path declines.
+                let msod = msod::dispatch(
+                    &core.engine,
+                    core.sym.as_ref(),
+                    &self.sym_table,
+                    &self.adi,
+                    &msod_req,
+                    scratch,
+                    explain.is_some(),
+                );
+                fell_back = msod.path.fell_back;
+                if fell_back {
+                    self.metrics.sym_fallbacks.inc();
+                }
+                if msod.path.overflow {
+                    self.metrics.reqbuf_overflows.inc();
+                    self.fire_flight("sym_fallback_overflow");
+                }
+                if let Some(slot) = explain {
+                    slot.msod = msod.explanation;
+                    slot.engine = if fell_back { "string" } else { "sym" };
+                }
                 let t_msod = if sample {
                     let t = clock.elapsed_ns();
-                    self.metrics.msod_ns.record(t - t_match);
+                    self.metrics.msod_ns.record(t - t_front);
                     t
                 } else {
                     0
                 };
 
-                // Phase 4: the audit append inside grant/deny.
-                let outcome = match decision {
+                // Phase 3: the audit append inside grant/deny.
+                let outcome = match msod.decision {
                     MsodDecision::NotApplicable => self.grant(req, roles, None),
                     MsodDecision::Grant(detail) => self.grant(req, roles, Some(detail)),
                     MsodDecision::Deny(detail) => self.deny(req, roles, DenyReason::Msod(detail)),
@@ -775,18 +704,12 @@ impl<A: RetainedAdi + 'static> DecisionService<A> {
             DecisionOutcome::Deny { reason: DenyReason::Msod(d), .. } => d.records_consulted,
             DecisionOutcome::Deny { .. } => 0,
         };
-        // Identity as a cheap interned symbol where a table exists; the
-        // string clone happens only on unsymbolized services, and only
-        // 1-in-PHASE_SAMPLE decides at that.
-        let (user_sym, user) = match self.sym_table.as_deref() {
-            Some(table) => (table.intern_user(&req.subject).as_u32(), String::new()),
-            None => (u32::MAX, req.subject.clone()),
-        };
+        // Identity as a cheap interned symbol, resolved at render time.
+        let user_sym = self.sym_table.intern_user(&req.subject).as_u32();
         let shard = self.adi.shard_index(&req.subject);
         let entry = FlightEntry {
             timestamp: req.timestamp,
             user_sym,
-            user,
             granted: outcome.is_granted(),
             fell_back,
             total_ns: t_total,
@@ -806,9 +729,8 @@ impl<A: RetainedAdi + 'static> DecisionService<A> {
     /// box as a self-contained JSON snapshot with interned user symbols
     /// resolved through the service's symbol table.
     fn fire_flight(&self, reason: &str) {
-        let table = self.sym_table.as_deref();
         self.metrics.flight().trigger(reason, |r, entries| {
-            crate::metrics::render_flight_snapshot(r, entries, table)
+            crate::metrics::render_flight_snapshot(r, entries, &self.sym_table)
         });
     }
 
@@ -1249,27 +1171,14 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The shared-table invariant, both shapes: durable shards opened
-    /// against one table get the compiled symbol engine; shards each
-    /// opened standalone (one private table apiece) must never see an
-    /// engine compiled against a foreign table — the service detects
-    /// the mismatch at assembly, decides on the string engine, says so,
-    /// and no later policy or option swap resurrects the fast path.
+    /// Durable shards opened against one table get the compiled symbol
+    /// engine, and decide exactly like a single-store service.
     #[test]
     fn sym_engine_requires_one_shared_table() {
         use std::path::Path;
         use storage::{FaultVfs, PersistentAdi, Vfs};
 
         let policy = || policy::parse_rbac_policy(POLICY).unwrap();
-        let open = |vfs: &FaultVfs, i: usize, table: Option<&Arc<SymbolTable>>| {
-            let vfs: Arc<dyn Vfs> = Arc::new(vfs.clone());
-            let path = format!("/adi-shard-{i}.log");
-            match table {
-                Some(t) => PersistentAdi::open_with_table(vfs, Path::new(&path), Arc::clone(t)),
-                None => PersistentAdi::open_with_vfs(vfs, Path::new(&path)),
-            }
-            .unwrap()
-        };
         let script = |svc: &DecisionService<PersistentAdi>| {
             vec![
                 work(svc, "alice", "Member", "p1", 1),
@@ -1281,42 +1190,29 @@ mod tests {
         };
 
         let vfs = FaultVfs::default();
-        let standalone = (0..4).map(|i| open(&vfs, i, None)).collect();
-        let mixed = DecisionService::from_shards(
-            policy(),
-            b"key".to_vec(),
-            ShardedAdi::from_shards(standalone),
-        );
-        assert!(mixed.sym_table_mismatch());
-        assert!(mixed.core().sym_engine().is_none());
-        let debug = format!("{mixed:?}");
-        assert!(debug.contains("engine: \"string\""), "{debug}");
-        assert!(debug.contains("sym_table_mismatch: true"), "{debug}");
-        mixed.set_policy(policy());
-        mixed.set_engine_options(EngineOptions::default());
-        assert!(mixed.core().sym_engine().is_none(), "swaps must not resurrect the fast path");
-
-        let vfs = FaultVfs::default();
         let table = Arc::new(SymbolTable::new());
-        let shared = (0..4).map(|i| open(&vfs, i, Some(&table))).collect();
+        let shards = (0..4)
+            .map(|i| {
+                let vfs: Arc<dyn Vfs> = Arc::new(vfs.clone());
+                let path = format!("/adi-shard-{i}.log");
+                PersistentAdi::open_with_table(vfs, Path::new(&path), Arc::clone(&table)).unwrap()
+            })
+            .collect();
         let shared = DecisionService::from_shards(
             policy(),
             b"key".to_vec(),
-            ShardedAdi::from_shards(shared),
+            ShardedAdi::from_shards(shards),
         );
-        assert!(!shared.sym_table_mismatch());
+        assert!(Arc::ptr_eq(shared.symbol_table(), &table));
         assert!(shared.core().sym_engine().is_some());
         assert!(format!("{shared:?}").contains("engine: \"sym\""));
+        shared.set_policy(policy());
+        shared.set_engine_options(EngineOptions::default());
+        assert!(shared.core().sym_engine().is_some(), "swaps recompile against the table");
 
-        // Either way the verdicts are the same ones.
-        assert_eq!(script(&mixed), [true, false, true, true, true]);
-        assert_eq!(script(&shared), script(&single_store_service()));
-        assert_eq!(mixed.adi().snapshot(), shared.adi().snapshot());
-        if obs::enabled() {
-            assert!(mixed.metrics_text().contains("permis_sym_table_mismatch 1"));
-            assert!(shared.metrics_text().contains("permis_sym_table_mismatch 0"));
-            assert_eq!(mixed.metrics().sym_fallbacks.get(), 0, "no sym path, no fallbacks");
-        }
+        let verdicts = script(&shared);
+        assert_eq!(verdicts, [true, false, true, true, true]);
+        assert_eq!(verdicts, script(&single_store_service()));
 
         fn single_store_service() -> DecisionService<PersistentAdi> {
             let vfs: Arc<dyn Vfs> = Arc::new(FaultVfs::default());
@@ -1327,6 +1223,38 @@ mod tests {
                 ShardedAdi::from_shards(vec![store]),
             )
         }
+    }
+
+    /// Symbolized shards over different tables are refused at assembly:
+    /// a symbol would mean different things in different shards, so no
+    /// engine may run over them, and a silent string-engine service
+    /// would hide the mistake.
+    #[test]
+    #[should_panic(expected = "different symbol tables")]
+    fn mixed_symbol_tables_are_refused_at_assembly() {
+        let shards = vec![
+            SymAdi::new(Arc::new(SymbolTable::new())),
+            SymAdi::new(Arc::new(SymbolTable::new())),
+        ];
+        DecisionService::from_shards(
+            policy::parse_rbac_policy(POLICY).unwrap(),
+            b"key".to_vec(),
+            ShardedAdi::from_shards(shards),
+        );
+    }
+
+    /// A store with no symbol index still gets a table of its own (the
+    /// flight recorder interns into it) but no compiled engine.
+    #[test]
+    fn reference_service_owns_a_private_table() {
+        let svc = DecisionService::<msod::MemoryAdi>::with_shard_count(
+            policy::parse_rbac_policy(POLICY).unwrap(),
+            b"key".to_vec(),
+            2,
+        );
+        assert!(svc.core().sym_engine().is_none());
+        assert!(work(&svc, "alice", "Member", "p1", 1));
+        assert_eq!(svc.symbol_table().counts().roles, 0, "the string engine interns nothing");
     }
 
     #[test]

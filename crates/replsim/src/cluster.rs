@@ -101,7 +101,7 @@ pub enum ReplBug {
     /// the log's verdict). Caught by snapshot/verdict convergence.
     SkipApply,
     /// The coordinator regrants the lease when the holder has been
-    /// silent for [`STALE_GRANT_MS`], while the old lease still runs —
+    /// silent for `STALE_GRANT_MS`, while the old lease still runs —
     /// two nodes believe they are primary. State stays convergent
     /// (commands are deterministic per sequence), so only the
     /// lease-overlap monitor can catch this.

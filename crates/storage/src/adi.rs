@@ -21,19 +21,19 @@
 //! ([`PersistentAdi::open_with_table`]). A sharded service must open
 //! every shard against *one* table — that is what lets one compiled
 //! engine probe all of them; `DecisionService::open_persistent` does,
-//! and a service assembled from shards with different tables is served
-//! by the string engine instead. [`PersistentAdi::open`] /
+//! and `DecisionService::from_shards` refuses shards with different
+//! tables at assembly. [`PersistentAdi::open`] /
 //! [`PersistentAdi::open_with_vfs`] give a standalone store a private
 //! table.
 //!
 //! ## Frame versions: string (v1) and symbol (v2) encodings
 //!
-//! Add frames come in two generations. The string-era [`OP_ADD`]
+//! Add frames come in two generations. The string-era `OP_ADD`
 //! encoding spells out every identity (user, role, operation, target,
 //! context pairs) in full. The symbol-era encoding carries ids: a
 //! journal-local dictionary maps each distinct string to a `u32` id,
-//! persisted as *define* frames ([`OP_DEF`]) followed by compact
-//! [`OP_ADD_V2`] frames that carry only ids. New writes and compaction
+//! persisted as *define* frames (`OP_DEF`) followed by compact
+//! `OP_ADD_V2` frames that carry only ids. New writes and compaction
 //! rewrites always emit the symbol encoding; replay accepts both
 //! generations, so a string-era journal migrates on open with no
 //! conversion step — its frames decode as before (and intern into the
@@ -169,7 +169,7 @@ impl AdiOp {
 ///
 /// Every mutation is encoded into an in-memory frame batch *before* the
 /// index changes, and the batch is flushed to the [`OpLog`] every
-/// [`BATCH_FRAMES`] frames, on [`PersistentAdi::sync`], on compaction
+/// `BATCH_FRAMES` frames, on [`PersistentAdi::sync`], on compaction
 /// and on drop. Durability is therefore explicit: call `sync` at the
 /// points that must survive a crash. (The journal sits behind its own
 /// lock so `flush`/`sync`/`compact` work through `&self`; the mutation
@@ -631,8 +631,8 @@ fn put_add_v2(buf: &mut Vec<u8>, timestamp: u64, n_roles: usize, ids: &[u32]) {
 /// String-keyed journal dictionary for [`encode_add_v2`]: string →
 /// dense `u32` id, with ids assigned on first sight.
 ///
-/// Ids are scoped to one journal epoch. [`SymDict::sym`] returns the id
-/// and, on first sight, pushes the [`OP_DEF`] frame that persists the
+/// Ids are scoped to one journal epoch. `SymDict::sym` returns the id
+/// and, on first sight, pushes the `OP_DEF` frame that persists the
 /// binding — callers must journal those frames *before* the frame that
 /// references them, which [`encode_add_v2`] guarantees by emitting into
 /// one ordered frame list. ([`PersistentAdi`] itself journals records
@@ -667,8 +667,8 @@ impl SymDict {
 }
 
 /// Encode `rec` as the symbol-era frame sequence: zero or more
-/// [`OP_DEF`] frames (for strings `dict` has not defined this epoch)
-/// followed by exactly one [`OP_ADD_V2`] frame. Frames are appended to
+/// `OP_DEF` frames (for strings `dict` has not defined this epoch)
+/// followed by exactly one `OP_ADD_V2` frame. Frames are appended to
 /// `out` in replay order — definitions strictly before use — so a crash
 /// that persists any prefix never leaves an add referencing an
 /// undefined id.
@@ -707,8 +707,8 @@ pub enum ReplayFrame {
 
 /// Stateful decoder that replays *both* frame generations: string-era
 /// v1 frames pass straight through to [`AdiOp::decode`], symbol-era
-/// [`OP_DEF`] frames accumulate the journal-local dictionary, and
-/// [`OP_ADD_V2`] frames resolve their ids against it. A fresh decoder
+/// `OP_DEF` frames accumulate the journal-local dictionary, and
+/// `OP_ADD_V2` frames resolve their ids against it. A fresh decoder
 /// must be used per journal scan, and frames must be fed in file order
 /// (id redefinitions across writer epochs rely on it).
 #[derive(Debug, Default)]

@@ -35,8 +35,9 @@ use std::sync::Arc;
 use context::ContextName;
 use msod::symtab::SymbolTable;
 use msod::{
-    AdiRecord, EngineOptions, MatchedBuf, MemoryAdi, Mmep, Mmer, MsodEngine, MsodPolicy,
-    MsodPolicySet, MsodRequest, Privilege, ReqBufs, RetainedAdi, RoleRef, ShardedAdi, SymEngine,
+    dispatch, AdiRecord, EngineOptions, MemoryAdi, Mmep, Mmer, MsodEngine, MsodPolicy,
+    MsodPolicySet, MsodRequest, MsodScratch, Privilege, RetainedAdi, RoleRef, ShardedAdi,
+    SymEngine,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -442,13 +443,13 @@ fn sym_commit_crash_cycle(seed: u64) {
         .expect("the deal policy compiles to the fast path");
     let store = PersistentAdi::open_with_table(Arc::clone(&arc), path, Arc::clone(&table)).unwrap();
     let adi = ShardedAdi::from_shards(vec![store]);
-    let (mut bufs, mut matched) = (ReqBufs::new(), MatchedBuf::new());
+    let mut scratch = MsodScratch::default();
 
     let mut states = vec![adi.snapshot()];
     let mut committed = 0usize;
     for i in 0..rng.random_range(1..=150u64) {
         with_random_request(&mut rng, i, |req| {
-            sym.enforce_or_fallback(&string_engine, &table, &adi, req, &mut bufs, &mut matched)
+            dispatch(&string_engine, Some(&sym), &table, &adi, req, &mut scratch, false).decision
         });
         states.push(adi.snapshot());
         if rng.random_range(0..6u8) == 0 {

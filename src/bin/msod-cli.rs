@@ -356,12 +356,11 @@ fn cmd_flightrec_dump(policy_path: &str, script_path: &str, dir: &str) -> Result
     let svc = load_service(policy_path)?;
     svc.set_flight_dir(Some(std::path::PathBuf::from(dir)));
     run_script(&svc, &script, |_, _, _| {})?;
-    let table = svc.symbol_table().clone();
     let path = svc
         .metrics()
         .flight()
         .trigger("cli_dump", |reason, entries| {
-            msod_rbac::permis::metrics::render_flight_snapshot(reason, entries, Some(&*table))
+            msod_rbac::permis::metrics::render_flight_snapshot(reason, entries, svc.symbol_table())
         })
         .ok_or("flight recorder produced no dump (empty budget or no dump dir)")?;
     println!("flight snapshot written: {}", path.display());
