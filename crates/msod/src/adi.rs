@@ -23,7 +23,7 @@
 use context::{BoundContext, ContextInstance};
 
 use crate::privilege::RoleRef;
-use crate::sym::{SymAdi, SymRecord};
+use crate::sym::{BoundComp, SymAdi, SymRecord};
 
 /// One retained decision: the 6-tuple of §4.2.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -117,6 +117,19 @@ pub trait RetainedAdi {
     fn commit_sym(&mut self, record: SymRecord) {
         let _ = record;
         unreachable!("commit_sym on a backend without a symbol index");
+    }
+
+    /// Symbol-plane seam, §4.2 step 7: remove every record within a
+    /// bound symbol pattern and return how many — [`SymAdi`]'s trie
+    /// drain plus whatever the backend owes durability first (a
+    /// journaled store queues the same purge frame
+    /// [`purge`](RetainedAdi::purge) writes for the bound context the
+    /// pattern came from, *then* drains the index). Called only on
+    /// backends whose [`sym_index`](RetainedAdi::sym_index) is `Some`,
+    /// which must override it.
+    fn purge_sym(&mut self, pattern: &[BoundComp]) -> usize {
+        let _ = pattern;
+        unreachable!("purge_sym on a backend without a symbol index");
     }
 }
 

@@ -89,8 +89,8 @@ pub use policy::{MsodPolicy, MsodPolicySet};
 pub use privilege::{Privilege, RoleRef};
 pub use sharded::{AdiMetrics, ShardMetrics, ShardedAdi, DEFAULT_SHARDS, EPOCH_STALL_NS};
 pub use sym::{
-    dispatch, intern_request, sharded_sym_adi, CtxPair, Dispatched, MatchedBuf, MsodScratch,
-    ReqBufs, SymAdi, SymEngine, SymOutcome, SymPathStats, SymRecord, SymRequest,
+    dispatch, intern_request, sharded_sym_adi, BoundComp, CtxPair, Dispatched, MatchedBuf,
+    MsodScratch, ReqBufs, SymAdi, SymEngine, SymOutcome, SymPathStats, SymRecord, SymRequest,
 };
 /// The interner the symbol plane is built on, re-exported so layers
 /// that already depend on `msod` (the journaled store) can share a

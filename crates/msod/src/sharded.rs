@@ -15,9 +15,15 @@
 //!   is then re-checked against the requesting user's shard *under that
 //!   shard's lock*, so same-user races cannot double-start a context.
 //! - Exclusive path (a matched policy's last step fires, admin purges,
-//!   recovery): take `epoch.write()`, lock all shards in index order
-//!   into one [`RetainedAdi`] view and run the sequential algorithm
-//!   unchanged.
+//!   recovery): take `epoch.write()` and lock all shards in index order.
+//!   A last step is decided there on symbols
+//!   ([`SymEngine`](crate::SymEngine) reads step 3 off every held
+//!   shard, evaluates and commits on the user's, then purges each
+//!   terminated pattern on every shard through
+//!   [`RetainedAdi::purge_sym`]); management, recovery and the string
+//!   engine see the same held shards as one [`RetainedAdi`] view
+//!   ([`ShardedAdi::with_exclusive`]) and run the sequential algorithm
+//!   unchanged. Both go through one locking routine.
 //!
 //! Purges only ever happen under `epoch.write()`, so a fast-path reader
 //! (which holds `epoch.read()` throughout) can never observe a context
@@ -279,6 +285,21 @@ impl<A: RetainedAdi> ShardedAdi<A> {
     /// run `f` over a single [`RetainedAdi`] view of the whole store.
     /// This is the only way to mutate more than one shard atomically.
     pub fn with_exclusive<R>(&self, f: impl FnOnce(&mut dyn RetainedAdi) -> R) -> R {
+        self.exclusive_section(|guards| {
+            f(&mut ExclusiveView { guards, purged: &self.metrics.purged_records })
+        })
+    }
+
+    /// The one exclusive section: take the epoch write lock, then every
+    /// shard lock in index order, and hand `f` the held shards (slot
+    /// `i` is shard `i`). Counts the acquisition in
+    /// [`AdiMetrics::epoch_writes`] and the section's wall time in
+    /// [`AdiMetrics::exclusive_ns`]; whoever purges through the guards
+    /// adds to [`AdiMetrics::purged_records`].
+    pub(crate) fn exclusive_section<'s, R>(
+        &'s self,
+        f: impl FnOnce(&mut [TimedShardGuard<'s, A>]) -> R,
+    ) -> R {
         self.metrics.epoch_writes.inc();
         let section = Stopwatch::start();
         // An uncontended try_write skips the wait clocking entirely;
@@ -296,11 +317,10 @@ impl<A: RetainedAdi> ShardedAdi<A> {
                 guard
             }
         };
-        let guards: Vec<TimedShardGuard<'_, A>> =
+        let mut guards: Vec<TimedShardGuard<'s, A>> =
             (0..self.shards.len()).map(|i| self.lock_shard(i)).collect();
-        let mut view = ExclusiveView { guards, purged: &self.metrics.purged_records };
-        let out = f(&mut view);
-        drop(view);
+        let out = f(&mut guards);
+        drop(guards);
         section.lap(&self.metrics.exclusive_ns);
         out
     }
@@ -443,19 +463,19 @@ impl<A: RetainedAdi + std::fmt::Debug> std::fmt::Debug for ShardedAdi<A> {
 
 /// All shards locked at once, presented as one [`RetainedAdi`] so the
 /// sequential algorithm (and recovery/management) runs unchanged.
-struct ExclusiveView<'a, A> {
-    guards: Vec<TimedShardGuard<'a, A>>,
+struct ExclusiveView<'v, 'a, A> {
+    guards: &'v mut [TimedShardGuard<'a, A>],
     /// Running total of records removed through this view.
     purged: &'a Counter,
 }
 
-impl<A: RetainedAdi> ExclusiveView<'_, A> {
+impl<A: RetainedAdi> ExclusiveView<'_, '_, A> {
     fn index(&self, user: &str) -> usize {
         (fnv1a(user) % self.guards.len() as u64) as usize
     }
 }
 
-impl<A: RetainedAdi> RetainedAdi for ExclusiveView<'_, A> {
+impl<A: RetainedAdi> RetainedAdi for ExclusiveView<'_, '_, A> {
     fn add(&mut self, record: AdiRecord) {
         let idx = self.index(&record.user);
         self.guards[idx].add(record);
@@ -492,7 +512,7 @@ impl<A: RetainedAdi> RetainedAdi for ExclusiveView<'_, A> {
 
     fn clear(&mut self) {
         self.purged.add(self.len() as u64);
-        for g in &mut self.guards {
+        for g in self.guards.iter_mut() {
             g.clear();
         }
     }

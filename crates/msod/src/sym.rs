@@ -12,24 +12,31 @@
 //! deployment) — compares and hashes plain integers
 //! and performs **zero heap allocations** for every decision that does
 //! not retain a new record (denies, not-applicable, and grants outside
-//! any constraint). Committing a record allocates exactly the record's
-//! own storage; interning a never-before-seen string allocates once for
-//! the lifetime of the table.
+//! any constraint). Committing a record allocates the record's own
+//! storage and, amortized, the indexes' growth; interning a
+//! never-before-seen string allocates once for the lifetime of the
+//! table.
+//!
+//! A matched policy's **last step** is decided on symbols too. §4.2
+//! step 7 purges across users, so such a request runs in the store's
+//! exclusive section (epoch write lock, every shard lock in index
+//! order): step 3 reads every held shard, steps 4–6 run the same
+//! `evaluate` on the user's shard, the record commits through
+//! [`RetainedAdi::commit_sym`], and each terminating policy's bound
+//! pattern is purged on every shard through [`RetainedAdi::purge_sym`].
 //!
 //! The plane is a conservative overlay on the string engine, not a
 //! fork, and [`dispatch`] is the one entry to both: it interns the
-//! request and runs the compiled engine, and whatever the fast path
+//! request and runs the compiled engine, and whatever the engine
 //! declines ([`SymOutcome::Fallback`]) it re-runs through
 //! [`MsodEngine::enforce_sharded`], which operates on the very same
-//! shards through the [`RetainedAdi`] trait. That keeps one source of
-//! truth for the §4.2 semantics (the string engine, conformance-checked
-//! by the modelcheck oracle) while the symbolized path carries the
-//! steady-state load. Fallbacks are exact, not heuristic:
+//! shards through the [`RetainedAdi`] trait. The string engine stays
+//! the reference for the §4.2 semantics (conformance-checked by the
+//! modelcheck oracle, and differentially against this plane). Fallbacks
+//! are exact, not heuristic:
 //!
-//! - a matched policy's **last step** (§4.2 step 7 purges cross shards
-//!   and must serialise through the exclusive view);
-//! - request shapes beyond the fixed fast-path buffers
-//!   ([`MAX_REQ_ROLES`], [`MAX_CTX_DEPTH`], [`MAX_MATCHED`]);
+//! - request shapes beyond the fixed buffers ([`MAX_REQ_ROLES`],
+//!   [`MAX_CTX_DEPTH`], [`MAX_MATCHED`]);
 //! - policy sets the compiler refused (see [`SymEngine::compile`]),
 //!   and stores that keep no symbol index (the reference `MemoryAdi`):
 //!   with no compiled engine, every request takes the string engine.
@@ -37,7 +44,7 @@
 //! Every shard of one store must intern through one table
 //! ([`ShardedAdi::sym_table`] refuses a store whose shards do not).
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use context::{BoundContext, ContextInstance, PatternValue};
@@ -90,9 +97,10 @@ struct SymComponent {
 }
 
 /// One component of a *bound* context (no `!` left): either any value
-/// of a type or one exact pair.
+/// of a type or one exact pair. A slice of them is the symbol form of a
+/// [`BoundContext`], which [`RetainedAdi::purge_sym`] purges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BoundComp {
+pub enum BoundComp {
     /// `*` — any value of this type.
     Any(Sym),
     /// Exactly this `(type, value)` pair.
@@ -342,16 +350,19 @@ pub fn intern_request<'a>(
     })
 }
 
-/// Fixed-capacity list of matched policy indices (§4.2 step 1 result).
+/// Fixed-capacity list of matched policy indices (§4.2 step 1 result),
+/// noting which of them the request is the last step of.
 #[derive(Debug)]
 pub struct MatchedBuf {
     idx: [u16; MAX_MATCHED],
     len: usize,
+    /// Bit `k` set: the request is `idx[k]`'s last step.
+    last_step_bits: u32,
 }
 
 impl Default for MatchedBuf {
     fn default() -> Self {
-        MatchedBuf { idx: [0; MAX_MATCHED], len: 0 }
+        MatchedBuf { idx: [0; MAX_MATCHED], len: 0, last_step_bits: 0 }
     }
 }
 
@@ -363,15 +374,23 @@ impl MatchedBuf {
 
     fn clear(&mut self) {
         self.len = 0;
+        self.last_step_bits = 0;
     }
 
-    fn push(&mut self, pi: usize) -> bool {
+    fn push(&mut self, pi: usize, last_step: bool) -> bool {
         if self.len == MAX_MATCHED {
             return false;
         }
         self.idx[self.len] = pi as u16;
+        self.last_step_bits |= u32::from(last_step) << self.len;
         self.len += 1;
         true
+    }
+
+    /// Positions (into [`MatchedBuf::as_slice`]) of the matched
+    /// policies whose last step the request is, in document order.
+    fn last_steps(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.len).filter(|&k| self.last_step_bits >> k & 1 == 1)
     }
 
     /// The matched policy indices, in document order.
@@ -387,9 +406,10 @@ impl MatchedBuf {
 pub enum SymOutcome {
     /// No policy context matched; the interim grant stands unrecorded.
     NotApplicable,
-    /// The fast path cannot decide this request (last step, or a shape
-    /// beyond the fixed buffers) — [`dispatch`] re-runs it through the
-    /// string engine.
+    /// The compiled engine cannot decide this request (more than
+    /// [`MAX_MATCHED`] policies match, or the shards keep no symbol
+    /// index) — [`dispatch`] re-runs it through the string engine, as it
+    /// does a request that overflows [`ReqBufs`].
     Fallback,
     /// The grant stands.
     Grant {
@@ -397,6 +417,9 @@ pub enum SymOutcome {
         records_added: usize,
         /// Records visited while evaluating constraints.
         records_consulted: usize,
+        /// Records purged, across every shard, by the contexts this
+        /// request terminated as a last step (0 when none fired).
+        records_purged: usize,
     },
     /// The grant flips to deny; the ADI is untouched.
     Deny(SymDeny),
@@ -408,9 +431,10 @@ pub enum SymOutcome {
 /// fallbacks without re-deriving them.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SymPathStats {
-    /// The string engine served this request (no compiled engine,
-    /// interning overflow, a last-step operation, or a shape beyond the
-    /// fixed buffers).
+    /// The string engine served this request (no compiled engine, an
+    /// interning overflow, or more than [`MAX_MATCHED`] matching
+    /// policies). A last step is not a fallback: the compiled engine
+    /// decides it in the exclusive section.
     pub fell_back: bool,
     /// The fallback was specifically an interning overflow: the
     /// request carried more roles or context components than the fixed
@@ -461,6 +485,7 @@ struct SymPolicyCap {
     starts_now: bool,
     checked: bool,
     wants_record: bool,
+    last_step: bool,
 }
 
 #[derive(Debug)]
@@ -546,10 +571,7 @@ impl SymExplain {
                 starts_now: p.starts_now,
                 checked: p.checked,
                 wants_record: p.wants_record,
-                // The fast path falls back whenever a matched policy's
-                // last step fires, so a captured derivation never
-                // terminates a context instance.
-                last_step: false,
+                last_step: p.last_step,
             });
         }
         for c in &self.constraints {
@@ -592,6 +614,10 @@ impl SymExplain {
                     ConstraintKind::Mmep => 6,
                 };
             }
+        }
+        // Step 7: a granted last step terminated its context instance.
+        if ex.deny.is_none() && ex.policies.iter().any(|p| p.last_step) {
+            ex.step = 7;
         }
         for r in &self.records {
             let (op, tgt) = table.resolve_priv(r.priv_id);
@@ -751,20 +777,175 @@ impl SymTrieNode {
     }
 }
 
+/// The context trie plus its transposed first level: every depth-0 →
+/// depth-1 edge of the trie, keyed depth-1 first. A `[*, literal, ..]`
+/// pattern — every `Branch=*, Period=!` scope once bound — then reaches
+/// the few depth-0 children that hold its literal with one range
+/// lookup, instead of probing every child of the `*` type (all
+/// branches, in every shard) for a step-3 probe of a fresh instance or
+/// a step-7 purge.
+///
+/// An edge `k0 → k1` is stored as `id(k1) << 32 | id(k0)`, the two
+/// interned pair ids. A pair id names its type, so a `*` of type `ty`
+/// finds its children at `pack(ty, id(k0))`, and an id listed under a
+/// literal whose type is not `ty` simply has no child there. Eight
+/// bytes an edge in a B-tree: memory is the price of the index, and a
+/// hash map of per-literal lists cost about eight times as much.
+///
+/// `second` is exact: it holds an edge iff the trie has it.
+#[derive(Debug, Default)]
+struct SymTrie {
+    root: SymTrieNode,
+    second: BTreeSet<u64>,
+}
+
+/// How many children of a `*` type [`SymTrie::any_match`] probes
+/// directly before it asks the transposed index.
+const SCAN_FIRST: usize = 2;
+
+/// The `second` entry of the edge `k0 → k1` (packed keys).
+fn edge(k0: u64, k1: u64) -> u64 {
+    (k1 << 32) | (k0 & u64::from(u32::MAX))
+}
+
+impl SymTrie {
+    /// Records in the trie.
+    fn len(&self) -> usize {
+        self.root.subtree_count
+    }
+
+    fn insert(&mut self, path: &[CtxPair], slot: u32) {
+        let Some((first, rest)) = path.split_first() else {
+            return self.root.insert(path, slot);
+        };
+        let k0 = pack(*first);
+        self.root.subtree_count += 1;
+        let child = self.root.children.entry(k0).or_default();
+        if let Some(&second) = rest.first() {
+            let k1 = pack(second);
+            if !child.children.contains_key(&k1) {
+                self.second.insert(edge(k0, k1));
+            }
+        }
+        child.insert(rest, slot);
+    }
+
+    /// The depth-0 children of type `ty` with an edge to the literal
+    /// `k1`, as `(k0, child)`.
+    fn children_to(&self, ty: Sym, k1: u64) -> impl Iterator<Item = (u64, &SymTrieNode)> + '_ {
+        // One descent: `range(lo..)` finds the first edge, the edges of
+        // `k1` follow it in order.
+        let lo = k1 << 32;
+        let hi = lo | u64::from(u32::MAX);
+        self.second.range(lo..).take_while(move |&&e| e <= hi).filter_map(move |&e| {
+            let k0 = (u64::from(ty.as_u32()) << 32) | (e & u64::from(u32::MAX));
+            self.root.children.get(&k0).map(|child| (k0, child))
+        })
+    }
+
+    /// [`SymTrieNode::any_match`] from the root. A pattern that opens
+    /// with `*` and a literal first tries the first [`SCAN_FIRST`]
+    /// children of the `*` type, as the plain scan would: a literal most
+    /// of them hold (a long-lived period every branch works in) is found
+    /// there without touching `second`. The index then answers sparse
+    /// and absent literals (a fresh instance) without visiting the rest.
+    fn any_match(&self, pattern: &[BoundComp]) -> bool {
+        match *pattern {
+            [BoundComp::Any(ty), BoundComp::Exact(p), ref rest @ ..] => {
+                let k1 = pack(p);
+                let holds = |child: &SymTrieNode| {
+                    child.children.get(&k1).is_some_and(|next| next.any_match(rest))
+                };
+                let of_type = |(&k0, _): &(&u64, &SymTrieNode)| packed_type(k0) == ty.as_u32();
+                self.root.children.iter().filter(of_type).take(SCAN_FIRST).any(|(_, c)| holds(c))
+                    || self.children_to(ty, k1).any(|(_, child)| holds(child))
+            }
+            _ => self.root.any_match(pattern),
+        }
+    }
+
+    /// Remove every record within the pattern, appending the freed slots
+    /// to `out`; returns how many were removed.
+    fn drain(&mut self, pattern: &[BoundComp], out: &mut Vec<u32>) -> usize {
+        match *pattern {
+            [] => {
+                self.second.clear();
+                let before = out.len();
+                self.root.collect_subtree(out);
+                out.len() - before
+            }
+            [BoundComp::Exact(p), ref rest @ ..] => self.drain_under(pack(p), rest, out),
+            [BoundComp::Any(ty), ref rest @ ..] => {
+                let firsts: Vec<u64> = match rest.first() {
+                    Some(&BoundComp::Exact(p)) => {
+                        self.children_to(ty, pack(p)).map(|(k0, _)| k0).collect()
+                    }
+                    _ => self
+                        .root
+                        .children
+                        .keys()
+                        .copied()
+                        .filter(|&k0| packed_type(k0) == ty.as_u32())
+                        .collect(),
+                };
+                firsts.into_iter().map(|k0| self.drain_under(k0, rest, out)).sum()
+            }
+        }
+    }
+
+    /// Drain `rest` below the depth-0 child `k0`, dropping from `second`
+    /// every edge `k0 → k1` the drain removes.
+    fn drain_under(&mut self, k0: u64, rest: &[BoundComp], out: &mut Vec<u32>) -> usize {
+        let SymTrie { root, second } = self;
+        let Some(child) = root.children.get_mut(&k0) else {
+            return 0;
+        };
+        // The depth-1 keys the drain may remove.
+        let one;
+        let some: Vec<u64>;
+        let candidates: &[u64] = match rest.first() {
+            Some(&BoundComp::Exact(p)) => {
+                one = [pack(p)];
+                &one
+            }
+            Some(&BoundComp::Any(ty)) => {
+                let of_type = |k: &u64| packed_type(*k) == ty.as_u32();
+                some = child.children.keys().copied().filter(of_type).collect();
+                &some
+            }
+            None => {
+                some = child.children.keys().copied().collect();
+                &some
+            }
+        };
+        let removed = child.drain_matching(rest, out);
+        root.subtree_count -= removed;
+        for &k1 in candidates {
+            if !child.children.contains_key(&k1) {
+                second.remove(&edge(k0, k1));
+            }
+        }
+        if child.subtree_count == 0 {
+            root.children.remove(&k0);
+        }
+        removed
+    }
+}
+
 /// The symbolized retained-ADI store: a slot arena of [`SymRecord`]s, a
 /// flat per-[`UserId`] index, and a context trie keyed by packed
-/// symbols. All fast-path queries are allocation-free; the
+/// symbols, its first level also indexed the other way round. All fast-path queries are allocation-free; the
 /// [`RetainedAdi`] impl resolves symbols back to strings so the string
 /// engine (exclusive view, recovery, inspection) sees the same store.
 #[derive(Debug)]
 pub struct SymAdi {
     table: Arc<SymbolTable>,
     records: Vec<Option<SymRecord>>,
-    live: usize,
     /// `UserId` → slots, insertion order; tombstoned slots are skipped
     /// on read and reclaimed by compaction.
     by_user: Vec<Vec<UserSlot>>,
-    root: SymTrieNode,
+    /// The live records by context; its size is the store's.
+    trie: SymTrie,
 }
 
 /// How many packed context pairs a [`UserSlot`] carries inline.
@@ -808,13 +989,7 @@ impl UserSlot {
 impl SymAdi {
     /// An empty store over `table`.
     pub fn new(table: Arc<SymbolTable>) -> Self {
-        SymAdi {
-            table,
-            records: Vec::new(),
-            live: 0,
-            by_user: Vec::new(),
-            root: SymTrieNode::default(),
-        }
+        SymAdi { table, records: Vec::new(), by_user: Vec::new(), trie: SymTrie::default() }
     }
 
     /// The table this store interns and resolves through.
@@ -830,9 +1005,8 @@ impl SymAdi {
             self.by_user.resize_with(user + 1, Vec::new);
         }
         self.by_user[user].push(UserSlot::new(slot, &rec.ctx));
-        self.root.insert(&rec.ctx, slot);
+        self.trie.insert(&rec.ctx, slot);
         self.records.push(Some(rec));
-        self.live += 1;
     }
 
     /// Visit the user's live records covered by the bound pattern, in
@@ -858,17 +1032,16 @@ impl SymAdi {
     /// Allocation-free.
     #[inline]
     fn context_active_pattern(&self, pattern: &[BoundComp]) -> bool {
-        self.root.any_match(pattern)
+        self.trie.any_match(pattern)
     }
 
     /// Remove every record within the bound pattern.
     fn purge_pattern(&mut self, pattern: &[BoundComp]) -> usize {
         let mut freed = Vec::new();
-        let removed = self.root.drain_matching(pattern, &mut freed);
+        let removed = self.trie.drain(pattern, &mut freed);
         for slot in freed {
             self.records[slot as usize] = None;
         }
-        self.live -= removed;
         self.maybe_compact();
         removed
     }
@@ -954,7 +1127,7 @@ impl SymAdi {
     /// Rebuild the arena once tombstones outnumber live records (same
     /// policy as the string trie index).
     fn maybe_compact(&mut self) {
-        if self.records.len() >= 64 && self.live * 2 <= self.records.len() {
+        if self.records.len() >= 64 && self.trie.len() * 2 <= self.records.len() {
             self.rebuild();
         }
     }
@@ -962,8 +1135,7 @@ impl SymAdi {
     fn rebuild(&mut self) {
         let live: Vec<SymRecord> = self.records.drain(..).flatten().collect();
         self.by_user.clear();
-        self.root = SymTrieNode::default();
-        self.live = 0;
+        self.trie = SymTrie::default();
         for rec in live {
             self.add_sym(rec);
         }
@@ -1006,27 +1178,25 @@ impl RetainedAdi for SymAdi {
     }
 
     fn purge_older_than(&mut self, cutoff: u64) -> usize {
-        let before = self.live;
+        let before = self.trie.len();
         let survivors: Vec<SymRecord> =
             self.records.drain(..).flatten().filter(|r| r.timestamp >= cutoff).collect();
         self.by_user.clear();
-        self.root = SymTrieNode::default();
-        self.live = 0;
+        self.trie = SymTrie::default();
         for rec in survivors {
             self.add_sym(rec);
         }
-        before - self.live
+        before - self.trie.len()
     }
 
     fn len(&self) -> usize {
-        self.live
+        self.trie.len()
     }
 
     fn clear(&mut self) {
         self.records.clear();
         self.by_user.clear();
-        self.root = SymTrieNode::default();
-        self.live = 0;
+        self.trie = SymTrie::default();
     }
 
     fn snapshot(&self) -> Vec<AdiRecord> {
@@ -1043,6 +1213,10 @@ impl RetainedAdi for SymAdi {
     #[inline]
     fn commit_sym(&mut self, record: SymRecord) {
         self.add_sym(record);
+    }
+
+    fn purge_sym(&mut self, pattern: &[BoundComp]) -> usize {
+        self.purge_pattern(pattern)
     }
 }
 
@@ -1091,18 +1265,19 @@ impl<A: RetainedAdi> ShardedAdi<A> {
 }
 
 impl SymEngine {
-    /// The §4.2 fast path on symbols, mirroring
-    /// [`MsodEngine::enforce_sharded`] exactly: match policies,
-    /// probe step 3 across shards, evaluate steps 4–6 under the user's
-    /// shard lock, commit at most one record. Returns
-    /// [`SymOutcome::Fallback`] instead of deciding whenever a matched
-    /// policy's last step fires (step 7 needs the exclusive view) or
-    /// more than [`MAX_MATCHED`] policies match — or when the shards keep
-    /// no symbol index at all ([`RetainedAdi::sym_index`] is `None`).
-    /// The shards' indexes must intern through the table this engine
-    /// was compiled against.
+    /// §4.2 on symbols, deciding exactly what [`MsodEngine::enforce`]
+    /// decides: match policies, probe step 3 across shards, evaluate
+    /// steps 4–6 under the user's shard lock, commit at most one record.
+    /// When a matched policy's last step fires, the whole decision runs
+    /// in the store's exclusive section instead and step 7 purges each
+    /// terminated context on every shard. Returns
+    /// [`SymOutcome::Fallback`] instead of deciding only when more than
+    /// [`MAX_MATCHED`] policies match or the shards keep no symbol index
+    /// ([`RetainedAdi::sym_index`] is `None`). The shards' indexes must
+    /// intern through the table this engine was compiled against.
     ///
-    /// Zero-allocation except for committing a new record.
+    /// Zero-allocation except for committing a new record and for the
+    /// exclusive section a last step takes.
     pub fn enforce_sharded<A: RetainedAdi>(
         &self,
         adi: &ShardedAdi<A>,
@@ -1132,23 +1307,18 @@ impl SymEngine {
         if let Some(outcome) = self.admit(req, matched) {
             return outcome;
         }
+        if matched.last_step_bits != 0 {
+            return self.decide_exclusive(adi, req, matched, explain);
+        }
 
         // Hold the epoch for the whole decision so no purge can
         // interleave between the scan and the commit.
         let _epoch = adi.epoch_read();
 
         // Pre-compute the step 3 cross-shard facts, one shard lock at a
-        // time. Policies routinely share one business context (e.g.
-        // every constraint scoped `Proc=!`); reuse an identical earlier
-        // pattern's probe instead of re-walking every shard trie.
+        // time.
         let mut bound = self.bind(req, matched);
-        for k in 0..matched.as_slice().len() {
-            bound.started_elsewhere[k] =
-                match (0..k).find(|&j| bound.pattern(j) == bound.pattern(k)) {
-                    Some(j) => bound.started_elsewhere[j],
-                    None => adi.context_active_unsynced_sym(bound.pattern(k)),
-                };
-        }
+        bound.probe_started(matched.len, |pattern| adi.context_active_unsynced_sym(pattern));
 
         let mut shard = adi.lock_shard(adi.shard_index(req.user_str));
         let Some(index) = shard.sym_index() else {
@@ -1170,26 +1340,84 @@ impl SymEngine {
                 SymOutcome::Grant {
                     records_added: usize::from(want_record),
                     records_consulted: consulted,
+                    records_purged: 0,
                 }
             }
         }
     }
 
-    /// §4.2 step 1 on symbols: fill `matched`, and decide right away
-    /// what needs no store — nothing matched, or the request is one the
-    /// fast path declines (too many matches, a matched last step).
+    /// §4.2 for a request that is some matched policy's last step, in
+    /// the store's exclusive section: step 3 off every held shard, the
+    /// same `evaluate` (steps 4–6) on the user's shard, the commit, then
+    /// step 7 — each terminating policy's bound pattern purged on every
+    /// shard, in matched order, after the add (the order
+    /// [`MsodEngine::enforce`] commits in, so a journaled shard gets the
+    /// same frames). A deny mutates nothing.
+    ///
+    /// Out of line and cold: last steps are rare, and the fast path it
+    /// branches off stays as compact as before.
+    #[cold]
+    #[inline(never)]
+    fn decide_exclusive<A: RetainedAdi>(
+        &self,
+        adi: &ShardedAdi<A>,
+        req: &SymRequest<'_>,
+        matched: &MatchedBuf,
+        explain: Option<&mut SymExplain>,
+    ) -> SymOutcome {
+        let mut bound = self.bind(req, matched);
+        let user_shard = adi.shard_index(req.user_str);
+        adi.exclusive_section(|shards| {
+            // Every shard is held, so step 3 reads them directly: no
+            // commit can land between the probe and the decision.
+            bound.probe_started(matched.len, |pattern| {
+                shards
+                    .iter()
+                    .any(|s| s.sym_index().is_some_and(|i| i.context_active_pattern(pattern)))
+            });
+            let Some(index) = shards[user_shard].sym_index() else {
+                return SymOutcome::Fallback;
+            };
+            let Evaluated { want_record, consulted } =
+                match self.evaluate(index, req, matched, &bound, explain) {
+                    Ok(evaluated) => evaluated,
+                    Err(deny) => return SymOutcome::Deny(deny),
+                };
+            if want_record {
+                shards[user_shard].commit_sym(SymRecord {
+                    user: req.user,
+                    roles: req.roles.to_vec(),
+                    priv_id: req.priv_id,
+                    ctx: req.ctx.to_vec(),
+                    timestamp: req.timestamp,
+                });
+            }
+            let mut purged = 0;
+            for k in matched.last_steps() {
+                let pattern = bound.pattern(k);
+                purged += shards.iter_mut().map(|s| s.purge_sym(pattern)).sum::<usize>();
+            }
+            adi.metrics.purged_records.add(purged as u64);
+            SymOutcome::Grant {
+                records_added: usize::from(want_record),
+                records_consulted: consulted,
+                records_purged: purged,
+            }
+        })
+    }
+
+    /// §4.2 step 1 on symbols: fill `matched` (noting which matched
+    /// policies' last step the request is), and decide right away what
+    /// needs no store — nothing matched, or more matches than the fixed
+    /// buffer holds.
     fn admit(&self, req: &SymRequest<'_>, matched: &mut MatchedBuf) -> Option<SymOutcome> {
         matched.clear();
         for (pi, p) in self.policies.iter().enumerate() {
-            if p.matches_instance(req.ctx) && !matched.push(pi) {
+            if p.matches_instance(req.ctx) && !matched.push(pi, p.last_step == Some(req.priv_id)) {
                 return Some(SymOutcome::Fallback);
             }
         }
-        if matched.as_slice().is_empty() {
-            return Some(SymOutcome::NotApplicable);
-        }
-        let last_step = |&pi: &u16| self.policies[usize::from(pi)].last_step == Some(req.priv_id);
-        matched.as_slice().iter().any(last_step).then_some(SymOutcome::Fallback)
+        matched.as_slice().is_empty().then_some(SymOutcome::NotApplicable)
     }
 
     /// Bind each matched policy's context to the request: '!' pinned to
@@ -1249,6 +1477,7 @@ impl SymEngine {
                     starts_now,
                     checked: started || (starts_now && self.strict_first_step),
                     wants_record: false,
+                    last_step: policy.last_step == Some(req.priv_id),
                 });
             }
 
@@ -1303,15 +1532,18 @@ pub struct Dispatched {
 /// [`SymOutcome`] becomes an [`MsodDecision`].
 ///
 /// With a compiled `sym` engine the request is interned into `scratch`
-/// and decided on symbols. On [`SymOutcome::Fallback`] — or with no
-/// engine at all (a store without a symbol index, or a policy set
-/// [`SymEngine::compile`] refused) — the string engine decides it over
-/// the same shards: [`MsodEngine::enforce_sharded`], or, when
-/// `explain` is set, [`MsodEngine::explain`] and [`MsodEngine::enforce`]
-/// together on the exclusive view, so the explanation describes exactly
-/// the pre-decision state. A symbolized explanation rides the
-/// enforcement pass and is resolved against `table`, the table `sym`
-/// was compiled against and the shards intern through.
+/// and decided on symbols, last steps included. On
+/// [`SymOutcome::Fallback`] — or with no engine at all (a store without
+/// a symbol index, or a policy set [`SymEngine::compile`] refused) —
+/// the string engine decides it over the same shards:
+/// [`MsodEngine::enforce_sharded`], or, when `explain` is set,
+/// [`MsodEngine::explain`] and [`MsodEngine::enforce`] together on the
+/// exclusive view, so the explanation describes exactly the
+/// pre-decision state. A symbolized explanation rides the enforcement
+/// pass and is resolved against `table`, the table `sym` was compiled
+/// against and the shards intern through. Grants and denies report
+/// bound contexts in string form, bound from the string policies
+/// (`terminated` on a last step, `bound` on a deny).
 pub fn dispatch<A: RetainedAdi>(
     string_engine: &MsodEngine,
     sym: Option<&SymEngine>,
@@ -1341,6 +1573,12 @@ pub fn dispatch<A: RetainedAdi>(
         },
     };
     path.fell_back = outcome == SymOutcome::Fallback;
+    let bind = |pi: usize| {
+        string_engine.policies().policies()[pi]
+            .business_context
+            .bind(req.context)
+            .expect("matched instance must bind")
+    };
     let (decision, explanation) = match outcome {
         SymOutcome::Fallback if explain => {
             let (decision, ex) = adi.with_exclusive(|view| {
@@ -1353,7 +1591,7 @@ pub fn dispatch<A: RetainedAdi>(
         SymOutcome::NotApplicable => {
             (MsodDecision::NotApplicable, explain.then(MsodExplanation::not_applicable))
         }
-        SymOutcome::Grant { records_added, records_consulted } => (
+        SymOutcome::Grant { records_added, records_consulted, records_purged } => (
             MsodDecision::Grant(GrantDetail {
                 matched_policies: scratch
                     .matched
@@ -1362,8 +1600,12 @@ pub fn dispatch<A: RetainedAdi>(
                     .map(|&pi| usize::from(pi))
                     .collect(),
                 records_added,
-                terminated: Vec::new(),
-                records_purged: 0,
+                terminated: scratch
+                    .matched
+                    .last_steps()
+                    .map(|k| bind(usize::from(scratch.matched.idx[k])))
+                    .collect(),
+                records_purged,
                 records_consulted,
             }),
             capture.map(|c| c.resolve(table)),
@@ -1371,10 +1613,7 @@ pub fn dispatch<A: RetainedAdi>(
         SymOutcome::Deny(d) => (
             MsodDecision::Deny(DenyDetail {
                 policy_index: d.policy_index,
-                bound: string_engine.policies().policies()[d.policy_index]
-                    .business_context
-                    .bind(req.context)
-                    .expect("matched instance must bind"),
+                bound: bind(d.policy_index),
                 kind: d.kind,
                 constraint_index: d.constraint_index,
                 current_matches: d.current_matches,
@@ -1400,6 +1639,20 @@ struct BoundPolicies {
 impl BoundPolicies {
     fn pattern(&self, k: usize) -> &[BoundComp] {
         &self.patterns[k][..self.depths[k]]
+    }
+
+    /// Fill `started_elsewhere` for the first `n` patterns with
+    /// `probe`'s step 3 answer. Policies routinely share one business
+    /// context (e.g. every constraint scoped `Proc=!`); an identical
+    /// earlier pattern's answer is reused instead of probing again.
+    #[inline]
+    fn probe_started(&mut self, n: usize, mut probe: impl FnMut(&[BoundComp]) -> bool) {
+        for k in 0..n {
+            self.started_elsewhere[k] = match (0..k).find(|&j| self.pattern(j) == self.pattern(k)) {
+                Some(j) => self.started_elsewhere[j],
+                None => probe(self.pattern(k)),
+            };
+        }
     }
 }
 
@@ -1678,23 +1931,162 @@ mod tests {
     }
 
     #[test]
-    fn last_step_and_oversize_requests_fall_back() {
+    fn last_step_decides_on_symbols_and_only_oversize_requests_fall_back() {
         let table = Arc::new(SymbolTable::new());
         let sym = SymEngine::compile(&mixed_set(), &EngineOptions::default(), &table).unwrap();
         let adi = sharded_sym_adi(&table, 4);
         let mut bufs = ReqBufs::new();
         let mut matched = MatchedBuf::new();
 
+        // op9 is the `Proc=*, Step=!` policy's last step. The `Proc=!`
+        // policy starts recording on it, and the termination then purges
+        // that very record: added, then purged, in one exclusive section.
         let ctx: ContextInstance = "Proc=1, Step=2".parse().unwrap();
         let roles = [rr(0)];
         let req = string_request("alice", &roles, "op9", &ctx, 1);
         let sym_req = intern_request(&table, &req, &mut bufs).unwrap();
-        assert_eq!(sym.enforce_sharded(&adi, &sym_req, &mut matched), SymOutcome::Fallback);
+        let writes = adi.metrics().epoch_writes.get();
+        assert_eq!(
+            sym.enforce_sharded(&adi, &sym_req, &mut matched),
+            SymOutcome::Grant { records_added: 1, records_consulted: 0, records_purged: 1 }
+        );
+        assert!(adi.is_empty());
+        if obs::enabled() {
+            assert_eq!(adi.metrics().epoch_writes.get(), writes + 1);
+            assert_eq!(adi.metrics().purged_records.get(), 1);
+        }
 
         // More roles than the fixed buffer ⇒ admission declines.
         let many: Vec<RoleRef> = (0..(MAX_REQ_ROLES + 1)).map(rr).collect();
         let req = string_request("alice", &many, "op0", &ctx, 1);
         assert!(intern_request(&table, &req, &mut bufs).is_none());
+
+        // More matching policies than the matched buffer holds ⇒ the
+        // engine declines.
+        let crowd = MsodPolicySet::new(
+            (0..=MAX_MATCHED)
+                .map(|_| {
+                    let mmer = vec![Mmer::new(vec![rr(0), rr(1)], 2).unwrap()];
+                    MsodPolicy::new("Proc=!".parse().unwrap(), None, None, mmer, vec![]).unwrap()
+                })
+                .collect(),
+        );
+        let sym = SymEngine::compile(&crowd, &EngineOptions::default(), &table).unwrap();
+        let req = string_request("alice", &roles, "op0", &ctx, 2);
+        let sym_req = intern_request(&table, &req, &mut bufs).unwrap();
+        assert_eq!(sym.enforce_sharded(&adi, &sym_req, &mut matched), SymOutcome::Fallback);
+    }
+
+    /// Two policies that share the last step `close`: a `Branch=*,
+    /// Period=!` MMER over R0/R1 and a `Branch=!` MMER over R2/R3.
+    fn last_step_set() -> MsodPolicySet {
+        let close = || Some(Privilege::new("close", "t"));
+        MsodPolicySet::new(vec![
+            MsodPolicy::new(
+                "Branch=*, Period=!".parse().unwrap(),
+                None,
+                close(),
+                vec![Mmer::new(vec![rr(0), rr(1)], 2).unwrap()],
+                vec![],
+            )
+            .unwrap(),
+            MsodPolicy::new(
+                "Branch=!".parse().unwrap(),
+                None,
+                close(),
+                vec![Mmer::new(vec![rr(2), rr(3)], 2).unwrap()],
+                vec![],
+            )
+            .unwrap(),
+        ])
+    }
+
+    /// Last steps decided in the symbol engine's exclusive section agree
+    /// with the string engine's sequential `enforce` on an exclusive
+    /// string view: verdict (with `terminated` and `records_purged`),
+    /// explanation (step 7, `last_step` per policy) and the snapshot
+    /// after every request, with and without explanation capture.
+    #[test]
+    fn last_steps_match_string_engine_on_the_exclusive_view() {
+        let set = last_step_set();
+        let string_engine = MsodEngine::new(set.clone());
+        let table = Arc::new(SymbolTable::new());
+        let sym = SymEngine::compile(&set, &EngineOptions::default(), &table).unwrap();
+        let explained = sharded_sym_adi(&table, 4);
+        let plain = sharded_sym_adi(&table, 4);
+        let reference: ShardedAdi<MemoryAdi> = ShardedAdi::new(4);
+        let mut scratch = MsodScratch::default();
+        let mut ts = 0;
+        let mut decide = |user: &str, role: usize, op: &str, ctx: &str| {
+            ts += 1;
+            let roles = [rr(role)];
+            let ctx: ContextInstance = ctx.parse().unwrap();
+            let req = string_request(user, &roles, op, &ctx, ts);
+            let (want, want_ex) = reference.with_exclusive(|view| {
+                let ex = string_engine.explain(&*view, &req);
+                (string_engine.enforce(view, &req), ex)
+            });
+            let got =
+                dispatch(&string_engine, Some(&sym), &table, &explained, &req, &mut scratch, true);
+            assert!(!got.path.fell_back, "{req:?} left the symbol engine");
+            assert_eq!(got.decision, want, "{req:?}");
+            assert_eq!(got.explanation.as_ref(), Some(&want_ex), "{req:?}");
+            let got =
+                dispatch(&string_engine, Some(&sym), &table, &plain, &req, &mut scratch, false);
+            assert!(!got.path.fell_back && got.explanation.is_none());
+            assert_eq!(got.decision, want, "{req:?}");
+            assert_eq!(explained.snapshot(), reference.snapshot(), "{req:?}");
+            assert_eq!(plain.snapshot(), reference.snapshot(), "{req:?}");
+            (want, want_ex)
+        };
+        let grant = |d: &MsodDecision| match d {
+            MsodDecision::Grant(g) => g.clone(),
+            other => panic!("expected a grant, got {other:?}"),
+        };
+
+        // A denied last step: u0 held R0 in period p0, so closing with R1
+        // completes the MMER. Nothing is purged or added.
+        decide("u0", 0, "work", "Branch=b0, Period=p0");
+        let (d, ex) = decide("u0", 1, "close", "Branch=b1, Period=p0");
+        assert!(matches!(d, MsodDecision::Deny(_)));
+        assert_eq!(ex.step, 5);
+        assert!(ex.policies[0].last_step);
+        assert_eq!(reference.len(), 1);
+
+        // The closing request's own record lies in the scope it
+        // terminates: added, then purged by the same decision.
+        let (d, ex) = decide("u1", 0, "close", "Branch=b2, Period=p5");
+        let g = grant(&d);
+        assert_eq!((g.records_added, g.records_purged, g.terminated.len()), (1, 1, 2));
+        assert_eq!(ex.step, 7);
+        assert!(ex.policies.iter().all(|p| p.last_step));
+        assert_eq!(reference.len(), 1);
+
+        // Both matched policies terminate, and each purges records the
+        // other does not cover.
+        decide("u2", 2, "work", "Branch=b3, Period=p1");
+        decide("u3", 0, "work", "Branch=b4, Period=p1");
+        decide("u5", 2, "work", "Branch=b3, Period=p2");
+        let (d, ex) = decide("u4", 3, "close", "Branch=b3, Period=p1");
+        let g = grant(&d);
+        assert_eq!(g.terminated.len(), 2);
+        assert_eq!((g.records_added, g.records_purged), (1, 4));
+        assert_eq!(ex.step, 7);
+        assert_eq!(reference.len(), 1, "only u0's period-p0 record is left");
+
+        // A `Branch=*` scope reaches other users' records on other
+        // shards.
+        let users: Vec<String> = (10..18).map(|i| format!("u{i}")).collect();
+        for (i, user) in users.iter().enumerate() {
+            decide(user, 0, "work", &format!("Branch=b{}, Period=p9", i % 3));
+        }
+        let shards: std::collections::BTreeSet<usize> =
+            users.iter().map(|u| reference.shard_index(u)).collect();
+        assert!(shards.len() > 1, "the purged records span shards");
+        let (d, _) = decide("u99", 4, "close", "Branch=b1, Period=p9");
+        let g = grant(&d);
+        assert_eq!((g.records_added, g.records_purged), (0, users.len()));
+        assert_eq!(reference.len(), 1);
     }
 
     #[test]
@@ -1728,6 +2120,91 @@ mod tests {
         sym.clear();
         mem.clear();
         assert_eq!(sym.len(), mem.len());
+    }
+
+    /// `SymTrie::second` holds exactly the trie's depth-0 → depth-1
+    /// edges.
+    fn assert_second_level_exact(adi: &SymAdi) {
+        let want: BTreeSet<u64> = adi
+            .trie
+            .root
+            .children
+            .iter()
+            .flat_map(|(&k0, child)| child.children.keys().map(move |&k1| edge(k0, k1)))
+            .collect();
+        assert_eq!(adi.trie.second, want);
+    }
+
+    /// One purge scope per pattern shape the trie distinguishes: the
+    /// universal scope, literal or `*` openings, and `*` followed by a
+    /// literal (the transposed lookup) at depth one and two.
+    fn scope(shape: u8, a: usize, b: usize, c: usize) -> BoundContext {
+        let name = match shape {
+            0 => String::new(),
+            1 => format!("T0=v{a}"),
+            2 => "T0=*".to_owned(),
+            3 => format!("T0=*, T1=v{b}"),
+            4 => format!("T0=v{a}, T1=v{b}"),
+            5 => "T0=*, T1=*".to_owned(),
+            6 => format!("T0=v{a}, T1=*"),
+            7 => format!("T0=*, T1=v{b}, T2=v{c}"),
+            _ => format!("U=*, T1=v{b}"),
+        };
+        BoundContext::from_name(name.parse().unwrap()).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Adds, purges of every pattern shape and age purges keep the
+        /// trie's transposed first level exact, and the store in step
+        /// with the reference `MemoryAdi`: snapshots, purge counts and
+        /// step-3 probes of every shape.
+        #[test]
+        fn trie_second_level_stays_exact(
+            ops in proptest::collection::vec(
+                (0u8..10, 1usize..4, 0usize..6, 0usize..3, 0usize..3), 1..150)
+        ) {
+            let table = Arc::new(SymbolTable::new());
+            let mut sym = SymAdi::new(Arc::clone(&table));
+            let mut mem = MemoryAdi::new();
+            for (ts, &(op, depth, a, b, c)) in ops.iter().enumerate() {
+                match op {
+                    0..=5 => {
+                        // Up to five `T0` children, more than `SCAN_FIRST`,
+                        // so `*` probes also reach the transposed index.
+                        let first = if a == 5 { "U=v0".to_owned() } else { format!("T0=v{a}") };
+                        let comps = [first, format!("T1=v{b}"), format!("T2=v{c}")];
+                        let rec = AdiRecord {
+                            user: format!("u{}", (a + b + c) % 3),
+                            roles: vec![rr(a)],
+                            operation: "op".into(),
+                            target: "t".into(),
+                            context: comps[..depth].join(", ").parse().unwrap(),
+                            timestamp: ts as u64,
+                        };
+                        sym.add(rec.clone());
+                        mem.add(rec);
+                    }
+                    6..=8 => {
+                        let bound = scope(((op - 6) * 3 + depth as u8) % 9, a, b, c);
+                        prop_assert_eq!(sym.purge(&bound), mem.purge(&bound), "{}", bound);
+                    }
+                    _ => {
+                        let cutoff = ts.saturating_sub(10) as u64;
+                        prop_assert_eq!(sym.purge_older_than(cutoff), mem.purge_older_than(cutoff));
+                    }
+                }
+                assert_second_level_exact(&sym);
+                prop_assert_eq!(sym.snapshot(), mem.snapshot());
+                for shape in 0..9 {
+                    let bound = scope(shape, a, b, c);
+                    prop_assert_eq!(
+                        sym.context_active(&bound), mem.context_active(&bound), "{}", bound
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1810,7 +2287,7 @@ mod tests {
             (1, 3, 3, 1), // third distinct hit on m=3 constraint
             (2, 0, 0, 2), // first step starts MMEP policy
             (2, 0, 1, 2), // MMEP deny (op0 then op1)
-            (2, 1, 9, 2), // last step → exclusive fallback, purge
+            (2, 1, 9, 2), // last step → exclusive section, purge
             (2, 1, 0, 2), // fresh again after reset
             (0, 0, 5, 0), // op outside every constraint
         ]);
@@ -1832,7 +2309,7 @@ mod tests {
 
         // Same stream as `differential_against_string_engine`: denies
         // from both constraint kinds, duplicate entries, first-step
-        // gating and a last-step fallback.
+        // gating and a last step.
         let stream = [
             (0, 0, 0, 0),
             (0, 1, 1, 0),

@@ -112,7 +112,10 @@ fn warm_decide_allocates_nothing() {
     // interns every identity and commits one record — allocations are
     // expected and not counted.
     let seeded = decide(&engine, &mut bufs, &mut matched, "alice", &teller, &ctx, 1);
-    assert_eq!(seeded, SymOutcome::Grant { records_added: 1, records_consulted: 0 });
+    assert_eq!(
+        seeded,
+        SymOutcome::Grant { records_added: 1, records_consulted: 0, records_purged: 0 }
+    );
 
     // Warm-up pass over each measured shape so lazy structures (shard
     // metrics, per-user slots) are in their steady state.
@@ -123,7 +126,7 @@ fn warm_decide_allocates_nothing() {
         ));
         assert_eq!(
             decide(&engine, &mut bufs, &mut matched, "alice", &clerk, &ctx, ts),
-            SymOutcome::Grant { records_added: 0, records_consulted: 1 }
+            SymOutcome::Grant { records_added: 0, records_consulted: 1, records_purged: 0 }
         );
         assert_eq!(
             decide(&engine, &mut bufs, &mut matched, "alice", &teller, &other, ts),
@@ -137,7 +140,10 @@ fn warm_decide_allocates_nothing() {
             let deny = decide(&engine, &mut bufs, &mut matched, "alice", &auditor, &ctx, ts);
             assert!(matches!(deny, SymOutcome::Deny(_)));
             let grant = decide(&engine, &mut bufs, &mut matched, "alice", &clerk, &ctx, ts);
-            assert_eq!(grant, SymOutcome::Grant { records_added: 0, records_consulted: 1 });
+            assert_eq!(
+                grant,
+                SymOutcome::Grant { records_added: 0, records_consulted: 1, records_purged: 0 }
+            );
             let na = decide(&engine, &mut bufs, &mut matched, "alice", &teller, &other, ts);
             assert_eq!(na, SymOutcome::NotApplicable);
         }
@@ -154,7 +160,10 @@ fn warm_decide_allocates_nothing() {
     );
     let n = allocations(|| {
         let d = decide(&engine, &mut bufs, &mut matched, "bob", &teller, &ctx, 200);
-        assert_eq!(d, SymOutcome::Grant { records_added: 1, records_consulted: 0 });
+        assert_eq!(
+            d,
+            SymOutcome::Grant { records_added: 1, records_consulted: 0, records_purged: 0 }
+        );
     });
     assert!(n <= 16, "record commit should allocate O(1) blocks, saw {n}");
 }

@@ -40,8 +40,8 @@ pub struct Explanation {
     /// The stable deny-reason string; `None` on grants.
     pub reason: Option<String>,
     /// Which engine decided the MSoD stage: `"sym"` for the compiled
-    /// symbol engine, `"string"` for the string engine (a fallback, or a
-    /// service with no compiled engine), `"front_end"` when the request
+    /// symbol engine (last steps included), `"string"` for the string
+    /// engine (an oversize request, or a service with no compiled engine), `"front_end"` when the request
     /// never reached MSoD, `"replica_gate"` when a replica refused it.
     pub engine: &'static str,
     /// The §4.2 derivation. `None` when the front end denied before

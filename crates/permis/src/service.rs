@@ -30,9 +30,10 @@
 //! durable shard: journal frame first, index second). Durability, the
 //! management port (§4.3) and start-up recovery (§5.2) are layers of
 //! this pipeline, not second copies of it. The MSoD stage is one call,
-//! [`msod::dispatch`], for every store: the string engine serves what
-//! the fast path declines (last steps, oversize requests, policy sets
-//! the compiler refuses) and stores that keep no symbol index — the
+//! [`msod::dispatch`], for every store: the compiled engine decides
+//! last steps too (in the store's exclusive section), and the string
+//! engine serves what it declines (oversize requests, policy sets the
+//! compiler refuses) and stores that keep no symbol index — the
 //! reference `MemoryAdi` the tests compare against. Symbolized shards
 //! that do not share one table are refused at assembly
 //! ([`DecisionService::from_shards`]).

@@ -61,7 +61,7 @@ use std::sync::Arc;
 use bytes::{Buf, BufMut};
 use context::{BoundContext, ContextInstance, ContextName, PatternValue};
 use msod::symtab::{Sym, SymbolTable};
-use msod::{AdiRecord, CtxPair, RetainedAdi, RoleRef, SymAdi, SymRecord};
+use msod::{AdiRecord, BoundComp, CtxPair, RetainedAdi, RoleRef, SymAdi, SymRecord};
 use obs::{Counter, Gauge, Histogram, PromWriter, Stopwatch};
 use parking_lot::Mutex;
 
@@ -550,19 +550,48 @@ fn decode_add(buf: &mut &[u8]) -> Option<AdiRecord> {
 /// Bound contexts are encoded structurally (type, tag, value) so values
 /// containing `,`/`=` survive.
 fn put_purge_bound(buf: &mut Vec<u8>, bound: &BoundContext) {
-    buf.put_u8(OP_PURGE_BOUND);
     let comps = bound.name().components();
-    buf.put_u32_le(comps.len() as u32);
+    put_purge_header(buf, comps.len());
     for c in comps {
-        put_str(buf, &c.ctx_type);
         match &c.value {
-            PatternValue::Literal(v) => {
-                buf.put_u8(0);
-                put_str(buf, v);
-            }
-            PatternValue::AllInstances => buf.put_u8(1),
+            PatternValue::Literal(v) => put_purge_comp(buf, &c.ctx_type, Some(v)),
+            PatternValue::AllInstances => put_purge_comp(buf, &c.ctx_type, None),
             PatternValue::PerInstance => unreachable!("bound contexts contain no '!'"),
         }
+    }
+}
+
+/// [`put_purge_bound`] for the symbol form of a bound context, each
+/// component resolved through `table`: the same bytes as for the
+/// [`BoundContext`] the pattern was bound from.
+fn put_purge_sym(buf: &mut Vec<u8>, table: &SymbolTable, pattern: &[BoundComp]) {
+    put_purge_header(buf, pattern.len());
+    for &c in pattern {
+        match c {
+            BoundComp::Exact(pair) => {
+                let (ty, v) = table.resolve_ctx_pair(pair.id);
+                put_purge_comp(buf, &ty, Some(&v));
+            }
+            BoundComp::Any(ty) => put_purge_comp(buf, &table.resolve_str(ty), None),
+        }
+    }
+}
+
+fn put_purge_header(buf: &mut Vec<u8>, components: usize) {
+    buf.put_u8(OP_PURGE_BOUND);
+    buf.put_u32_le(components as u32);
+}
+
+/// One bound component: its type, then tag 0 and the literal value, or
+/// tag 1 for `*`.
+fn put_purge_comp(buf: &mut Vec<u8>, ctx_type: &str, literal: Option<&str>) {
+    put_str(buf, ctx_type);
+    match literal {
+        Some(v) => {
+            buf.put_u8(0);
+            put_str(buf, v);
+        }
+        None => buf.put_u8(1),
     }
 }
 
@@ -1261,6 +1290,16 @@ impl RetainedAdi for PersistentAdi {
         }
     }
 
+    /// The durable step-7 purge: the frame [`RetainedAdi::purge`] would
+    /// queue for the same bound context first, the index drain second.
+    fn purge_sym(&mut self, pattern: &[BoundComp]) -> usize {
+        let table = self.index.table();
+        self.journal.get_mut().push(|buf| put_purge_sym(buf, table, pattern));
+        let n = self.index.purge_sym(pattern);
+        self.maybe_compact();
+        n
+    }
+
     fn export_metrics(&self, w: &mut PromWriter, labels: &[(&str, &str)]) {
         let journal = self.journal.lock();
         w.counter(
@@ -1380,6 +1419,36 @@ mod tests {
         let b = bound("Branch=*, Period=!", "Branch=York, Period=2006");
         assert_eq!(adi.user_records("alice", &b).len(), 1);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The symbol-form purge frame is byte for byte the string-form
+    /// one for the bound context the pattern was bound from — literals
+    /// with separators in them, `*` and literal components alike — so
+    /// moving the last step onto symbols leaves the journal unchanged.
+    #[test]
+    fn purge_sym_frame_is_the_purge_frame() {
+        let table = SymbolTable::new();
+        let exact = |ty: &str, v: &str| {
+            BoundComp::Exact(CtxPair { ty: table.intern_str(ty), id: table.intern_ctx_pair(ty, v) })
+        };
+        let pattern = [
+            BoundComp::Any(table.intern_str("Branch")),
+            exact("Period", "q=1, 2006"),
+            exact("Step", "close"),
+        ];
+        let instance = ContextInstance::from_pairs(vec![
+            ("Branch".into(), "York".into()),
+            ("Period".into(), "q=1, 2006".into()),
+            ("Step".into(), "close".into()),
+        ])
+        .unwrap();
+        let name: ContextName = "Branch=*, Period=!, Step=close".parse().unwrap();
+        let bound = name.bind(&instance).unwrap();
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        put_purge_bound(&mut want, &bound);
+        put_purge_sym(&mut got, &table, &pattern);
+        assert_eq!(got, want);
+        assert_eq!(AdiOp::decode(&got), Some(AdiOp::Purge(bound)));
     }
 
     #[test]

@@ -126,37 +126,45 @@ fn hammered_lock_free_decide_preserves_invariants() {
 #[test]
 fn fast_and_exclusive_paths_interleave_safely() {
     // Worker threads hammer the sharded fast path while two of them
-    // periodically fire last-step requests (exclusive epoch path) into
-    // the same contexts. Terminations purge across all shards; whatever
-    // history remains must still satisfy the invariant and the trail
-    // must stay verifiable (grants plus context-terminated events).
+    // periodically fire last-step requests (the symbol engine's
+    // exclusive section) into the same contexts. Terminations purge
+    // across all shards; whatever history remains must still satisfy
+    // the invariant and the trail must stay verifiable (grants plus
+    // context-terminated events).
     let service = Arc::new(
         DecisionService::from_xml_symbolized(POLICY_WITH_LAST_STEP, b"k".to_vec()).unwrap(),
     );
     let threads = 8;
     let per_thread = 150;
 
-    std::thread::scope(|s| {
-        for t in 0..threads {
-            let service = Arc::clone(&service);
-            s.spawn(move || {
-                for i in 0..per_thread {
-                    let user = format!("user{}", (t * 3 + i) % 6);
-                    let role = if usize::is_multiple_of(t + i, 2) { "A" } else { "B" };
-                    let op = if t < 2 && i % 25 == 24 { "close" } else { "work" };
-                    let req = DecisionRequest::with_roles(
-                        user,
-                        vec![RoleRef::new("employee", role)],
-                        op,
-                        "res",
-                        format!("Proc={}", i % 2).parse().unwrap(),
-                        (t * per_thread + i) as u64,
-                    );
-                    let _ = service.decide(&req);
-                }
-            });
-        }
+    let granted_closes: usize = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|t| {
+                let service = Arc::clone(&service);
+                s.spawn(move || {
+                    let mut granted_closes = 0;
+                    for i in 0..per_thread {
+                        let user = format!("user{}", (t * 3 + i) % 6);
+                        let role = if usize::is_multiple_of(t + i, 2) { "A" } else { "B" };
+                        let op = if t < 2 && i % 25 == 24 { "close" } else { "work" };
+                        let req = DecisionRequest::with_roles(
+                            user,
+                            vec![RoleRef::new("employee", role)],
+                            op,
+                            "res",
+                            format!("Proc={}", i % 2).parse().unwrap(),
+                            (t * per_thread + i) as u64,
+                        );
+                        let granted = service.decide(&req).is_granted();
+                        granted_closes += usize::from(granted && op == "close");
+                    }
+                    granted_closes
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).sum()
     });
+    assert!(granted_closes > 0, "the stream must terminate contexts");
 
     assert_mmer_invariant(&service, 6, 2);
     service.with_trail(|trail| {
@@ -164,7 +172,21 @@ fn fast_and_exclusive_paths_interleave_safely() {
         // One grant/deny per decision; terminations append extra
         // records, so the total is at least the decision count.
         assert!(trail.len() >= threads * per_thread);
+        // Each granted close terminated exactly one `Proc=!` instance.
+        let terminations = trail
+            .segments()
+            .iter()
+            .flat_map(|seg| &seg.records)
+            .chain(trail.open_records())
+            .filter(|r| r.event.kind == audit::EventKind::ContextTerminated)
+            .count();
+        assert_eq!(terminations, granted_closes);
     });
+    // Every last step went through the symbol engine's exclusive
+    // section, none through the string engine's.
+    if msod_rbac::obs::enabled() {
+        assert_eq!(service.metrics().sym_fallbacks.get(), 0);
+    }
 }
 
 #[test]

@@ -3,8 +3,9 @@
 //! the journaled service (`open_persistent`) performs no more heap
 //! allocations than the same deny on the in-memory symbolized service
 //! (`new_symbolized`) — denies touch neither the journal nor a string
-//! record — and a run of decides that are not last steps never leaves
-//! the symbol plane (`permis_sym_fallback_total` stays 0).
+//! record — and the run of decides never leaves the symbol plane
+//! (`permis_sym_fallback_total` stays 0; since last steps are decided
+//! on symbols too, only oversize requests could fall back).
 //!
 //! The allocator wrapper follows `crates/msod/tests/zero_alloc.rs`
 //! (per-thread counts, so harness threads cannot pollute the window).
@@ -60,8 +61,8 @@ fn allocations(f: impl FnOnce()) -> usize {
     THREAD_ALLOCS.with(Cell::get) - before
 }
 
-/// Two policies sharing one `Branch=*, Period=!` scope; no last step,
-/// so nothing in this file may fall back.
+/// Two policies sharing one `Branch=*, Period=!` scope. Every request
+/// in this file fits the interning buffers, so none may fall back.
 const POLICY: &str = r#"<RBACPolicy id="alloc" roleType="employee">
   <SOAPolicy><SOA dn="cn=HR"/></SOAPolicy>
   <TargetAccessPolicy>

@@ -289,17 +289,16 @@ fn symbolized_service_exports_interner_gauges() {
 }
 
 /// Observability parity on the durable service: `open_persistent` runs
-/// the symbol plane, so it exports the interner gauges, counts
-/// last-step fallbacks (and nothing else) in
-/// `permis_sym_fallback_total`, records black-box entries by interned
-/// user symbol, and explains decisions as
-/// the `sym` engine.
+/// the symbol plane, so it exports the interner gauges, decides even a
+/// last step without a fallback (`permis_sym_fallback_total` stays 0),
+/// records black-box entries by interned user symbol, and explains
+/// decisions as the `sym` engine.
 #[test]
 fn durable_service_runs_and_reports_the_symbol_plane() {
     let dir = std::env::temp_dir().join(format!("obs-durable-sym-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    // POLICY plus a last step on the Branch policy, so one decide
-    // leaves the fast path.
+    // POLICY plus a last step on the Branch policy, so one decide takes
+    // the exclusive section.
     let xml = POLICY
         .replace(
             "<TargetAccess operation=\"audit\"",
@@ -331,7 +330,7 @@ fn durable_service_runs_and_reports_the_symbol_plane() {
             .is_granted());
     }
     let before_last_step = svc.metrics_text();
-    // The last step terminates Branch=York through the string engine.
+    // The last step terminates Branch=York, decided on symbols.
     let retained = svc.adi().len();
     assert!(svc
         .decide(&request("zed", "Auditor", "closeBranch", "books", "Branch=York", 50))
@@ -352,7 +351,7 @@ fn durable_service_runs_and_reports_the_symbol_plane() {
     }
     assert!(gauge_sum(&text, "symtab_interned{kind=\"users\"}") >= 36);
     assert_eq!(gauge_sum(&before_last_step, "permis_sym_fallback_total"), 0);
-    assert_eq!(gauge_sum(&text, "permis_sym_fallback_total"), 1);
+    assert_eq!(gauge_sum(&text, "permis_sym_fallback_total"), 0);
     let entries = svc.metrics().flight().entries();
     assert!(!entries.is_empty());
     for e in &entries {

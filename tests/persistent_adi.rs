@@ -190,7 +190,7 @@ fn unsynced_grant_is_lost_at_power_cut() {
 mod open_persistent_vs_new_symbolized {
     use std::fmt::Write as _;
 
-    use msod::RoleRef;
+    use msod::{RetainedAdi, RoleRef};
     use permis::{
         purge_scope, Credentials, DecisionOutcome, DecisionRequest, DecisionService, DenyReason,
         ManagementOp, RETAINED_ADI_CONTROLLER,
@@ -384,13 +384,66 @@ mod open_persistent_vs_new_symbolized {
         assert!(terminations > 20, "{terminations} terminated contexts");
         assert_eq!(restarts, 1);
         if obs::enabled() {
-            // Last steps (and only they) leave the fast path, on both
-            // sides; the durable counter restarted with its service.
-            let in_memory = mem.metrics().sym_fallbacks.get();
-            let since_reopen = durable.metrics().sym_fallbacks.get();
-            assert!(0 < since_reopen && since_reopen < in_memory, "{since_reopen} / {in_memory}");
+            // Every decide, last steps included, ran on the symbol
+            // engine, on both sides.
+            assert_eq!(mem.metrics().sym_fallbacks.get(), 0);
+            assert_eq!(durable.metrics().sym_fallbacks.get(), 0);
         }
         drop(durable);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A `Branch=*` last step on the durable service journals step 7 on
+    /// every shard: each shard's journal ends in the purge frame of the
+    /// string bound context, the records the ADI lost are the
+    /// `records_purged` the grant reports, and a reopen replays to the
+    /// live state (without the frame it would resurrect the purged
+    /// records).
+    #[test]
+    fn branch_star_last_step_journals_its_purge_on_every_shard() {
+        let dir = std::env::temp_dir().join(format!("msod-padi-purge-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let svc = open(&dir);
+        for user in 0..12 {
+            let ctx = format!("Branch=b{}, Period=q1", user % 5);
+            let req = request(user, "Teller_0", "handleCash_0", "till_0", &ctx, user + 1);
+            assert!(svc.decide(&req).is_granted());
+        }
+        let survivor = request(3, "Teller_0", "handleCash_0", "till_0", "Branch=b1, Period=q2", 20);
+        assert!(svc.decide(&survivor).is_granted());
+        let occupied = (0..SHARDS).filter(|&i| svc.adi().with_shard(i, |s| s.len() > 0)).count();
+        assert!(occupied > 1, "the terminated period spans shards");
+
+        let before = svc.adi().len();
+        let close =
+            request(99, "Auditor_0", "commitAudit_0", "audit_0", "Branch=b0, Period=q1", 30);
+        let DecisionOutcome::Grant { msod: Some(detail), .. } = svc.decide(&close) else {
+            panic!("the last step is granted");
+        };
+        let bound = purge_scope("Branch=*, Period=q1").unwrap();
+        assert_eq!(detail.terminated, vec![bound.clone()]);
+        assert_eq!(detail.records_added, 1);
+        assert_eq!(detail.records_purged, 13, "twelve tellers and the closing auditor");
+        assert_eq!(before + detail.records_added - svc.adi().len(), detail.records_purged);
+        assert_eq!(svc.adi().len(), 1);
+
+        svc.sync_adi().unwrap();
+        let vfs: std::sync::Arc<dyn storage::Vfs> = std::sync::Arc::new(storage::StdVfs);
+        let tails: Vec<_> = (0..SHARDS)
+            .map(|i| {
+                let path = dir.join(format!("adi-shard-{i}.log"));
+                storage::tail_journal_with_vfs(&vfs, &path, 0).unwrap().pop()
+            })
+            .collect();
+        let live = svc.adi().snapshot();
+        drop(svc);
+        let reopened = open(&dir);
+        assert_eq!(reopened.adi().snapshot(), live, "replay resurrected purged records");
+        for (i, tail) in tails.into_iter().enumerate() {
+            let want = storage::ReplayFrame::Op(storage::AdiOp::Purge(bound.clone()));
+            assert_eq!(tail, Some(want), "shard {i}'s journal tail");
+        }
+        drop(reopened);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
