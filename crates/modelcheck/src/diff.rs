@@ -4,26 +4,22 @@
 //!
 //! Variants:
 //!
-//! 1. `service` — [`DecisionService`] over sharded [`MemoryAdi`], the
-//!    reference store, so the string engine (the symbol plane's
-//!    fallback) is swept on every operation;
-//! 2. `persistent` — [`DecisionService`] over journaled
+//! 1. `persistent` — [`DecisionService`] over journaled
 //!    [`storage::PersistentAdi`] shards on a [`FaultVfs`] RAM disk, all
 //!    opened against one symbol table exactly as
 //!    [`DecisionService::open_persistent`] does, so decides run the
 //!    compiled symbol engine and commit through the journal-first
-//!    `commit_sym` path (asserted at construction — a fallback to the
-//!    string engine would sweep the wrong code);
-//! 3. `crash` — like `persistent`, but powers off mid-sequence
+//!    `commit_sym` path;
+//! 2. `crash` — like `persistent`, but powers off mid-sequence
 //!    ([`FaultVfs::power_cut`]) after a sync and reopens through the
 //!    recovery path (fresh shared table, journal replay interning into
 //!    it) before continuing; on alternating power cuts the surviving
 //!    journals are first rewritten with string-era (v1) frames, so
 //!    every sweep also covers crash-reopen of a journal written before
 //!    the symbol-frame format existed into the symbol index;
-//! 4. `symbolized` — [`DecisionService`] over sharded [`SymAdi`],
+//! 3. `symbolized` — [`DecisionService`] over sharded [`SymAdi`],
 //!    the interned fast path ([`permis::DecisionService::new_symbolized`]);
-//! 5. `wire` — a symbolized service behind a real loopback
+//! 4. `wire` — a symbolized service behind a real loopback
 //!    [`net::NetServer`], driven through [`net::NetClient`]: every
 //!    decide crosses the binary wire protocol, purges go through the
 //!    §4.3 management port as authorized wire requests, and snapshots
@@ -45,9 +41,9 @@ use std::sync::Arc;
 
 use context::ContextName;
 use msod::symtab::SymbolTable;
-use msod::{AdiRecord, MemoryAdi, RetainedAdi, SymAdi};
+use msod::{AdiRecord, RetainedAdi, SymAdi};
 use net::{NetClient, NetConfig, NetServer, WireVerdict};
-use permis::{DecisionOutcome, DecisionRequest, DecisionService, DenyReason};
+use permis::{Credentials, DecisionOutcome, DecisionRequest, DecisionService, DenyReason};
 use policy::{PdpPolicy, TargetRule};
 use storage::{AdiOp, FaultVfs, OpLog, PersistentAdi, Vfs};
 
@@ -71,6 +67,27 @@ pub fn wrap_policy(w: &Workload) -> PdpPolicy {
             conditions: Vec::new(),
         }],
         msod: w.policies.clone(),
+    }
+}
+
+/// The oracle's form of a decide request that carries pre-validated
+/// roles (the form the generator and the services' tests use).
+///
+/// # Panics
+///
+/// If `req` carries pushed or pulled credentials: only the front end
+/// can turn those into roles.
+pub fn oracle_request(req: &DecisionRequest) -> OracleRequest {
+    let Credentials::Validated(roles) = &req.credentials else {
+        panic!("the oracle takes requests with pre-validated roles, got {:?}", req.credentials);
+    };
+    OracleRequest {
+        user: req.subject.clone(),
+        roles: roles.clone(),
+        operation: req.operation.clone(),
+        target: req.target.clone(),
+        context: req.context.clone(),
+        timestamp: req.timestamp,
     }
 }
 
@@ -188,16 +205,11 @@ fn persistent_service(
     policy: &PdpPolicy,
     stores: Vec<PersistentAdi>,
 ) -> DecisionService<PersistentAdi> {
-    let svc = DecisionService::from_shards(
+    DecisionService::from_shards(
         policy.clone(),
         TRAIL_KEY.to_vec(),
         msod::ShardedAdi::from_shards(stores),
-    );
-    assert!(
-        svc.core().sym_engine().is_some(),
-        "shared-table durable shards must be served by the symbol engine"
-    );
-    svc
+    )
 }
 
 /// Rewrite every shard journal with string-era (v1) `AdiOp::Add`
@@ -223,7 +235,6 @@ fn downgrade_shards_to_v1(vfs: &FaultVfs, shards: usize) {
 
 /// One engine variant under test.
 enum Variant {
-    Service(DecisionService<MemoryAdi>),
     Persistent { svc: DecisionService<PersistentAdi>, _vfs: FaultVfs },
     Crash { svc: Option<DecisionService<PersistentAdi>>, vfs: FaultVfs, shards: usize },
     Symbolized(DecisionService<SymAdi>),
@@ -236,7 +247,6 @@ enum Variant {
 impl Variant {
     fn name(&self) -> &'static str {
         match self {
-            Variant::Service(_) => "service",
             Variant::Persistent { .. } => "persistent",
             Variant::Crash { .. } => "crash",
             Variant::Symbolized(_) => "symbolized",
@@ -246,7 +256,6 @@ impl Variant {
 
     fn decide(&mut self, req: &DecisionRequest) -> DecisionOutcome {
         match self {
-            Variant::Service(svc) => svc.decide(req),
             Variant::Persistent { svc, .. } => svc.decide(req),
             Variant::Crash { svc, .. } => svc.as_ref().expect("service is open").decide(req),
             Variant::Symbolized(svc) => svc.decide(req),
@@ -257,10 +266,9 @@ impl Variant {
     }
 
     /// Decide, projected onto the comparable [`Verdict`], with the
-    /// derivation captured where the variant supports it: the string
-    /// service (read-plane explanation under the epoch lock) and the
+    /// derivation captured where the variant supports it: the
     /// symbolized services, in memory and journaled (the `SymExplain`
-    /// capture path) — the production explanation sources. The wire variant's verdict
+    /// capture path). The wire variant's verdict
     /// arrives already projected (responses carry the semantic core,
     /// not the full outcome); it returns no explanation, so only the
     /// verdict and state checks apply to it. The `crash` variant
@@ -270,10 +278,6 @@ impl Variant {
         req: &DecisionRequest,
     ) -> (Verdict, Option<msod::MsodExplanation>) {
         match self {
-            Variant::Service(svc) => {
-                let (outcome, ex) = svc.decide_explained(req);
-                (project(&outcome), ex.msod)
-            }
             Variant::Symbolized(svc) => {
                 let (outcome, ex) = svc.decide_explained(req);
                 (project(&outcome), ex.msod)
@@ -297,7 +301,6 @@ impl Variant {
         let bound = context::BoundContext::from_name(scope.clone())
             .expect("management scope carries no '!'");
         match self {
-            Variant::Service(svc) => svc.adi().purge(&bound),
             Variant::Persistent { svc, .. } => svc.adi().purge(&bound),
             Variant::Crash { svc, .. } => svc.as_ref().expect("open").adi().purge(&bound),
             Variant::Symbolized(svc) => svc.adi().purge(&bound),
@@ -310,7 +313,6 @@ impl Variant {
 
     fn purge_older_than(&mut self, cutoff: u64) -> usize {
         match self {
-            Variant::Service(svc) => svc.adi().purge_older_than(cutoff),
             Variant::Persistent { svc, .. } => svc.adi().purge_older_than(cutoff),
             Variant::Crash { svc, .. } => {
                 svc.as_ref().expect("open").adi().purge_older_than(cutoff)
@@ -332,7 +334,6 @@ impl Variant {
             })
         }
         match self {
-            Variant::Service(svc) => clear_sharded(svc),
             Variant::Persistent { svc, .. } => clear_sharded(svc),
             Variant::Crash { svc, .. } => clear_sharded(svc.as_ref().expect("open")),
             Variant::Symbolized(svc) => clear_sharded(svc),
@@ -345,7 +346,6 @@ impl Variant {
 
     fn snapshot(&mut self) -> Vec<AdiRecord> {
         let mut snap = match self {
-            Variant::Service(svc) => svc.adi().snapshot(),
             Variant::Persistent { svc, .. } => svc.adi().snapshot(),
             Variant::Crash { svc, .. } => svc.as_ref().expect("open").adi().snapshot(),
             Variant::Symbolized(svc) => svc.adi().snapshot(),
@@ -458,11 +458,6 @@ pub fn run_workload_with(w: &Workload, mutation: Mutation) -> Option<Divergence>
     let persist_vfs = FaultVfs::default();
     let crash_vfs = FaultVfs::default();
     let mut variants = vec![
-        Variant::Service(DecisionService::with_shard_count(
-            policy.clone(),
-            TRAIL_KEY.to_vec(),
-            w.shards,
-        )),
         Variant::Persistent {
             svc: persistent_service(&policy, open_persistent_shards(&persist_vfs, w.shards)),
             _vfs: persist_vfs,
@@ -510,20 +505,21 @@ pub fn run_workload_with(w: &Workload, mutation: Mutation) -> Option<Divergence>
 
         // The oracle first.
         enum Expected {
-            Verdict(Verdict),
+            Verdict(Verdict, Box<DecisionRequest>),
             Purged(usize),
         }
         let mut expected_explanation: Option<msod::MsodExplanation> = None;
         let expected = match op {
             Op::Decide { user, roles, operation, target, context, timestamp } => {
-                let oreq = OracleRequest {
-                    user: user.clone(),
-                    roles: roles.clone(),
-                    operation: operation.clone(),
-                    target: target.clone(),
-                    context: context.clone(),
-                    timestamp: *timestamp,
-                };
+                let req = DecisionRequest::with_roles(
+                    user.clone(),
+                    roles.clone(),
+                    operation.clone(),
+                    target.clone(),
+                    context.clone(),
+                    *timestamp,
+                );
+                let oreq = oracle_request(&req);
                 // Derive the expected explanation against pre-decision
                 // state (decide mutates the records). Faithful oracles
                 // only: a mutated oracle's verdicts are deliberately
@@ -532,7 +528,7 @@ pub fn run_workload_with(w: &Workload, mutation: Mutation) -> Option<Divergence>
                 if mutation == Mutation::None {
                     expected_explanation = Some(oracle.explain(&oreq));
                 }
-                Expected::Verdict(oracle.decide(&oreq))
+                Expected::Verdict(oracle.decide(&oreq), Box::new(req))
             }
             Op::PurgeContext(scope) => Expected::Purged(oracle.purge_scope(scope)),
             Op::PurgeOlderThan(cutoff) => Expected::Purged(oracle.purge_older_than(*cutoff)),
@@ -543,19 +539,8 @@ pub fn run_workload_with(w: &Workload, mutation: Mutation) -> Option<Divergence>
         // Then every variant, each compared to the oracle.
         for v in &mut variants {
             match &expected {
-                Expected::Verdict(want) => {
-                    let Op::Decide { user, roles, operation, target, context, timestamp } = op
-                    else {
-                        unreachable!("Verdict expectation only arises from Decide ops")
-                    };
-                    let (got, got_explanation) = v.decide_verdict(&DecisionRequest::with_roles(
-                        user.clone(),
-                        roles.clone(),
-                        operation.clone(),
-                        target.clone(),
-                        context.clone(),
-                        *timestamp,
-                    ));
+                Expected::Verdict(want, req) => {
+                    let (got, got_explanation) = v.decide_verdict(req);
                     if got != *want {
                         return Some(Divergence {
                             op_index: i,

@@ -10,10 +10,9 @@
 //! * [`gen`] — seeded generation of random-but-valid policy sets and
 //!   operation sequences ([`generate`]).
 //! * [`diff`] — the differential driver: replays one workload through
-//!   every engine variant (the `DecisionService` over the reference
-//!   `MemoryAdi`, the persistent backend, a mid-sequence crash-reopen
-//!   variant, the symbolized store, and the symbolized service behind
-//!   the wire protocol) and checks each verdict and the retained ADI
+//!   every engine variant (the persistent backend, a mid-sequence
+//!   crash-reopen variant, the symbolized store, and the symbolized
+//!   service behind the wire protocol) and checks each verdict and the retained ADI
 //!   state against the oracle ([`run_workload`]).
 //! * [`shrink`](mod@shrink)/[`script`] — when a divergence is found, delta-debug it
 //!   to a locally-minimal workload and print it as a ready-to-paste
@@ -30,7 +29,8 @@ pub mod script;
 pub mod shrink;
 
 pub use diff::{
-    oracle_trace, project, run_workload, run_workload_with, wrap_policy, Divergence, OracleTrace,
+    oracle_request, oracle_trace, project, run_workload, run_workload_with, wrap_policy,
+    Divergence, OracleTrace,
 };
 pub use gen::{generate, role_pool, Op, Workload, ROLE_TYPE};
 pub use oracle::{sort_snapshot, Mutation, Oracle, OracleRequest, Verdict};

@@ -1,8 +1,7 @@
 //! The randomized differential conformance sweep, run in CI.
 //!
 //! Every seed generates one workload (policies + operation sequence)
-//! and replays it through all five engine variants — the
-//! `DecisionService` over the reference memory backend, the persistent
+//! and replays it through all four engine variants — the persistent
 //! backend, a mid-sequence crash-reopen variant (which on alternating
 //! power cuts reopens a journal downgraded to string-era v1 frames,
 //! covering the frame-format migration), the symbolized interned fast

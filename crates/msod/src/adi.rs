@@ -102,8 +102,8 @@ pub trait RetainedAdi {
     /// serves queries from, if it keeps one. [`SymAdi`] returns itself
     /// and a durable store returns the index under its journal, so
     /// [`SymEngine`](crate::SymEngine) runs over either with static
-    /// dispatch; string-indexed backends keep the default `None` and
-    /// are served by the string engine.
+    /// dispatch; string-indexed backends keep the default `None`, and
+    /// the decision service refuses them at assembly.
     fn sym_index(&self) -> Option<&SymAdi> {
         None
     }

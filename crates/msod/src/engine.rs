@@ -14,12 +14,23 @@
 //! retained ADI". We honour the note — additions and purges from *all*
 //! matched policies are buffered and committed only when the overall
 //! outcome is a grant.
+//!
+//! The request and verdict types here are the MSoD stage's interface
+//! in every build. `MsodEngine`, the string-keyed transcription of
+//! the algorithm over any [`crate::RetainedAdi`], compiles only under `cfg(test)`
+//! or the `test-oracle` feature: it is the reference the compiled
+//! [`crate::SymEngine`] is tested against, never a decision path.
 
 use context::{BoundContext, ContextInstance};
 
+#[cfg(any(test, feature = "test-oracle"))]
 use crate::adi::{AdiRecord, RetainedAdi};
+#[cfg(any(test, feature = "test-oracle"))]
 use crate::policy::{MsodPolicy, MsodPolicySet};
-use crate::privilege::{Privilege, RoleRef};
+#[cfg(any(test, feature = "test-oracle"))]
+use crate::privilege::Privilege;
+use crate::privilege::RoleRef;
+use crate::sym::RequestLimit;
 
 /// The request parameters handed from the PEP to the PDP (§4.1).
 #[derive(Debug, Clone)]
@@ -117,12 +128,16 @@ pub enum MsodDecision {
     Grant(GrantDetail),
     /// The grant is flipped to deny; the retained ADI is unchanged.
     Deny(DenyDetail),
+    /// The request exceeds a fixed bound of the decision engine, so it
+    /// is denied without being evaluated; the retained ADI is
+    /// unchanged.
+    ResourceLimit(RequestLimit),
 }
 
 impl MsodDecision {
     /// Whether the interim grant survives.
     pub fn is_granted(&self) -> bool {
-        !matches!(self, MsodDecision::Deny(_))
+        matches!(self, MsodDecision::NotApplicable | MsodDecision::Grant(_))
     }
 }
 
@@ -138,6 +153,7 @@ pub struct EngineOptions {
     pub check_constraints_on_first_step: bool,
 }
 
+#[cfg(any(test, feature = "test-oracle"))]
 /// The enforcement engine: a policy set plus options. Stateless apart
 /// from the policies; the retained ADI is passed per call so callers
 /// control the backend (in-memory, persistent, …).
@@ -147,6 +163,7 @@ pub struct MsodEngine {
     options: EngineOptions,
 }
 
+#[cfg(any(test, feature = "test-oracle"))]
 impl MsodEngine {
     /// Engine over a policy set with default (faithful) options.
     pub fn new(policies: MsodPolicySet) -> Self {
@@ -166,11 +183,6 @@ impl MsodEngine {
     /// The engine's behaviour options.
     pub fn options(&self) -> &EngineOptions {
         &self.options
-    }
-
-    /// Replace the policy set (PDP re-initialisation).
-    pub fn set_policies(&mut self, policies: MsodPolicySet) {
-        self.policies = policies;
     }
 
     /// Run §4.2 for one interim-granted request.
@@ -255,47 +267,7 @@ impl MsodEngine {
     }
 }
 
-impl MsodEngine {
-    /// §5.2 start-up recovery: re-apply one *historic* granted decision
-    /// to a retained-ADI store being rebuilt. Identical to
-    /// [`MsodEngine::enforce`]'s recording and purging rules, except it
-    /// never denies — the decision was already granted when it was
-    /// logged; under the *current* policy set the record is either
-    /// retained or silently irrelevant. Returns whether a record was
-    /// retained.
-    pub fn replay_grant(&self, adi: &mut dyn RetainedAdi, req: &MsodRequest<'_>) -> bool {
-        let matched = self.policies.matching(req.context);
-        if matched.is_empty() {
-            return false;
-        }
-        let mut want_record = false;
-        let mut terminations: Vec<BoundContext> = Vec::new();
-        for &pi in &matched {
-            let policy = &self.policies.policies()[pi];
-            let bound =
-                policy.business_context.bind(req.context).expect("matched instance must bind");
-            let started = adi.context_active(&bound);
-            if !started {
-                if policy.first_step.is_none() || policy.is_first_step(req.operation, req.target) {
-                    want_record = true;
-                }
-            } else if constraint_matches_request(policy, req) {
-                want_record = true;
-            }
-            if policy.is_last_step(req.operation, req.target) {
-                terminations.push(bound);
-            }
-        }
-        if want_record {
-            adi.add(make_record(req));
-        }
-        for bound in &terminations {
-            adi.purge(bound);
-        }
-        want_record
-    }
-}
-
+#[cfg(any(test, feature = "test-oracle"))]
 pub(crate) fn make_record(req: &MsodRequest<'_>) -> AdiRecord {
     AdiRecord {
         user: req.user.to_owned(),
@@ -307,6 +279,7 @@ pub(crate) fn make_record(req: &MsodRequest<'_>) -> AdiRecord {
     }
 }
 
+#[cfg(any(test, feature = "test-oracle"))]
 /// Whether any constraint of `policy` is touched by the request (used to
 /// decide whether a step-5/6 grant retains a record).
 pub(crate) fn constraint_matches_request(policy: &MsodPolicy, req: &MsodRequest<'_>) -> bool {
@@ -314,6 +287,7 @@ pub(crate) fn constraint_matches_request(policy: &MsodPolicy, req: &MsodRequest<
         || policy.mmep().iter().any(|m| m.split_match(req.operation, req.target).is_some())
 }
 
+#[cfg(any(test, feature = "test-oracle"))]
 /// Steps 5 (every MMER) and 6 (every MMEP) for one policy. Returns the
 /// first violation, if any. `consulted` accumulates the retained
 /// records visited, for decision tracing.
@@ -409,6 +383,7 @@ pub(crate) fn check_constraints(
     None
 }
 
+#[cfg(any(test, feature = "test-oracle"))]
 /// One distinct remaining constraint entry: how many times the
 /// constraint lists it (`listed`) and how many historic occurrences
 /// were seen (`seen`). Borrows the entry from the constraint itself.
@@ -418,6 +393,7 @@ struct Tally<'a, T> {
     seen: usize,
 }
 
+#[cfg(any(test, feature = "test-oracle"))]
 fn tally_remaining<T: Eq>(remaining: Vec<&T>) -> Vec<Tally<'_, T>> {
     let mut tallies: Vec<Tally<'_, T>> = Vec::with_capacity(remaining.len());
     for entry in remaining {
@@ -429,10 +405,12 @@ fn tally_remaining<T: Eq>(remaining: Vec<&T>) -> Vec<Tally<'_, T>> {
     tallies
 }
 
+#[cfg(any(test, feature = "test-oracle"))]
 fn split_to_tallies<T: Eq>((nr, remaining): (usize, Vec<&T>)) -> (usize, Vec<Tally<'_, T>>) {
     (nr, tally_remaining(remaining))
 }
 
+#[cfg(any(test, feature = "test-oracle"))]
 /// How many remaining entries (a multiset) history satisfies: for each
 /// distinct entry, at most `min(times listed, times seen)` — so a
 /// duplicated entry needs genuinely repeated history to count twice.

@@ -18,6 +18,15 @@ pub enum MsodError {
     TooFewPrivileges(usize),
     /// A policy must carry at least one MMER or MMEP constraint.
     EmptyPolicy,
+    /// A policy's constraints list more distinct entries in total (each
+    /// constraint's distinct roles or privileges, summed) than the
+    /// decision engine tallies per policy.
+    TooManyEntries {
+        /// The policy's distinct-entry total.
+        entries: usize,
+        /// The most the engine tallies ([`crate::sym::MAX_POLICY_TALLY`]).
+        max: usize,
+    },
 }
 
 impl fmt::Display for MsodError {
@@ -36,6 +45,10 @@ impl fmt::Display for MsodError {
             MsodError::EmptyPolicy => {
                 write!(f, "an MSoD policy must contain at least one MMER or MMEP constraint")
             }
+            MsodError::TooManyEntries { entries, max } => write!(
+                f,
+                "an MSoD policy's constraints list {entries} distinct entries (at most {max})"
+            ),
         }
     }
 }

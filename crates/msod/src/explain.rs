@@ -1,30 +1,36 @@
 //! Decision provenance: the full §4.2 derivation behind one verdict.
 //!
-//! [`MsodEngine::explain`] re-derives a decision *read-only* and keeps
-//! everything the verdict threw away: which policies matched and how
-//! their `!` components bound, whether each context instance had
-//! started, which MMER/MMEP constraints were touched, the per-entry
-//! multiset arithmetic (`listed` / `current` / `seen` / `counted`) and
-//! the retained-ADI records that contributed history. The symbolized
-//! fast path captures the same derivation as raw interner ids and
-//! [`crate::dispatch`] resolves them into this form only once the
-//! verdict is in.
+//! An [`MsodExplanation`] keeps everything a verdict throws away:
+//! which policies matched and how their `!` components bound, whether
+//! each context instance had started, which MMER/MMEP constraints were
+//! touched, the per-entry multiset arithmetic (`listed` / `current` /
+//! `seen` / `counted`) and the retained-ADI records that contributed
+//! history. The symbol engine captures the derivation as raw interner
+//! ids and [`crate::dispatch`] resolves them into this form only once
+//! the verdict is in; the string reference engine (`cfg(test)` or the
+//! `test-oracle` feature) derives the same form independently.
 //!
 //! The structure is deliberately *canonical* so independently produced
 //! explanations compare with `==`: constraint entries are the full
-//! constraint multiset deduplicated and sorted by label (the string
-//! engine tallies remaining entries in first-seen order, the symbol
-//! plane sorts by interner id — both normalize here), contributing
+//! constraint multiset deduplicated and sorted by label (the symbol
+//! engine sorts by interner id, the reference engine tallies in
+//! first-seen order — both normalize here), contributing
 //! record lists and the record table are sorted by timestamp. The
 //! modelcheck oracle derives its own [`MsodExplanation`] naively and
 //! diffs it against the engine's, so explanations are conformance
 //! artifacts, not best-effort logging.
 
+#[cfg(any(test, feature = "test-oracle"))]
 use context::BoundContext;
 
+#[cfg(any(test, feature = "test-oracle"))]
 use crate::adi::RetainedAdi;
-use crate::engine::{constraint_matches_request, ConstraintKind, MsodEngine, MsodRequest};
+use crate::engine::ConstraintKind;
+#[cfg(any(test, feature = "test-oracle"))]
+use crate::engine::{constraint_matches_request, MsodEngine, MsodRequest};
+#[cfg(any(test, feature = "test-oracle"))]
 use crate::policy::MsodPolicy;
+#[cfg(any(test, feature = "test-oracle"))]
 use crate::privilege::{Privilege, RoleRef};
 
 /// The §4.2 step that produced the outcome.
@@ -182,6 +188,7 @@ impl MsodExplanation {
     }
 }
 
+#[cfg(any(test, feature = "test-oracle"))]
 impl MsodEngine {
     /// Derive the full explanation of what [`MsodEngine::enforce`]
     /// decides for `req` against the *current* retained ADI, without
@@ -245,6 +252,7 @@ impl MsodEngine {
     }
 }
 
+#[cfg(any(test, feature = "test-oracle"))]
 /// The values `!` components bound to: zip the policy context against
 /// the bound context; every per-instance slot now carries the literal.
 fn bindings_of(policy: &MsodPolicy, bound: &BoundContext) -> Vec<(String, String)> {
@@ -258,6 +266,7 @@ fn bindings_of(policy: &MsodPolicy, bound: &BoundContext) -> Vec<(String, String
         .collect()
 }
 
+#[cfg(any(test, feature = "test-oracle"))]
 /// Steps 5 and 6 for one policy, with full capture. Mirrors
 /// `engine::check_constraints`' arithmetic over the canonical
 /// full-multiset form: per distinct entry, the request consumes
@@ -649,7 +658,7 @@ mod tests {
                         req.timestamp
                     );
                 }
-                MsodDecision::NotApplicable => unreachable!(),
+                MsodDecision::NotApplicable | MsodDecision::ResourceLimit(_) => unreachable!(),
             }
         }
     }

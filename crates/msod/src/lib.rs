@@ -17,20 +17,26 @@
 //! - [`RetainedAdi`] / [`SymAdi`] — the ISO 10181-3 retained
 //!   access-control decision information store (symbolized,
 //!   context-trie-indexed);
-//! - [`MsodEngine`] — the §4.2 enforcement algorithm, run by the PDP
-//!   after the normal RBAC check grants;
-//! - [`sym`] — the symbol plane: interned requests, flat multiset
-//!   matchers, and the allocation-free [`sym::SymEngine`] fast path.
-//! - [`dispatch`] — the MSoD stage of a decide in one call: the
-//!   compiled symbol engine when there is one, the string engine for
-//!   whatever it declines.
+//! - [`sym`] — the decision engine: interned requests, flat multiset
+//!   matchers, and [`SymEngine`], the §4.2 enforcement algorithm run by
+//!   the PDP after the normal RBAC check grants, allocation-free on the
+//!   warm path;
+//! - [`dispatch`] — the MSoD stage of a decide in one call: requests
+//!   within the engine's fixed bounds are decided by the compiled
+//!   engine, the rest are denied unevaluated
+//!   ([`MsodDecision::ResourceLimit`]).
+//!
+//! The string-keyed reference engine `MsodEngine` and its flat store
+//! `MemoryAdi` compile only under `cfg(test)` or the `test-oracle`
+//! feature: tests compare the engine against them, nothing decides
+//! through them.
 //!
 //! ```
 //! use std::sync::Arc;
 //!
 //! use context::ContextInstance;
-//! use msod::{Mmer, MsodEngine, MsodPolicy, MsodPolicySet, MsodRequest,
-//!            RoleRef, SymAdi};
+//! use msod::{dispatch, sharded_sym_adi, EngineOptions, Mmer, MsodPolicy, MsodPolicySet,
+//!            MsodRequest, MsodScratch, RoleRef, SymEngine};
 //!
 //! // Example 1 of the paper: no one may act as both Teller and Auditor
 //! // anywhere in the bank within one audit period.
@@ -42,8 +48,11 @@
 //!                         RoleRef::new("employee", "Auditor")], 2).unwrap()],
 //!     vec![],
 //! ).unwrap();
-//! let engine = MsodEngine::new(MsodPolicySet::new(vec![policy]));
-//! let mut adi = SymAdi::new(Arc::new(msod::symtab::SymbolTable::new()));
+//! let table = Arc::new(msod::symtab::SymbolTable::new());
+//! let set = MsodPolicySet::new(vec![policy]);
+//! let engine = SymEngine::compile(&set, &EngineOptions::default(), &table).unwrap();
+//! let adi = sharded_sym_adi(&table, 4);
+//! let mut scratch = MsodScratch::default();
 //!
 //! let york: ContextInstance = "Branch=York, Period=2006".parse().unwrap();
 //! let leeds: ContextInstance = "Branch=Leeds, Period=2006".parse().unwrap();
@@ -51,17 +60,15 @@
 //! let auditor = [RoleRef::new("employee", "Auditor")];
 //!
 //! // Alice handles cash as a Teller in York...
-//! assert!(engine.enforce(&mut adi, &MsodRequest {
-//!     user: "alice", roles: &teller, operation: "handleCash",
-//!     target: "till", context: &york, timestamp: 1,
-//! }).is_granted());
+//! let req = MsodRequest { user: "alice", roles: &teller, operation: "handleCash",
+//!                         target: "till", context: &york, timestamp: 1 };
+//! assert!(dispatch(&engine, &table, &adi, &req, &mut scratch, false).decision.is_granted());
 //!
 //! // ...so she may not audit months later, even in another branch and
 //! // another session:
-//! assert!(!engine.enforce(&mut adi, &MsodRequest {
-//!     user: "alice", roles: &auditor, operation: "audit",
-//!     target: "books", context: &leeds, timestamp: 999,
-//! }).is_granted());
+//! let req = MsodRequest { user: "alice", roles: &auditor, operation: "audit",
+//!                         target: "books", context: &leeds, timestamp: 999 };
+//! assert!(!dispatch(&engine, &table, &adi, &req, &mut scratch, false).decision.is_granted());
 //! ```
 
 pub mod adi;
@@ -78,8 +85,10 @@ pub mod sym;
 pub use adi::MemoryAdi;
 pub use adi::{AdiRecord, RetainedAdi};
 pub use constraint::{Mmep, Mmer};
+#[cfg(any(test, feature = "test-oracle"))]
+pub use engine::MsodEngine;
 pub use engine::{
-    ConstraintKind, DenyDetail, EngineOptions, GrantDetail, MsodDecision, MsodEngine, MsodRequest,
+    ConstraintKind, DenyDetail, EngineOptions, GrantDetail, MsodDecision, MsodRequest,
 };
 pub use error::MsodError;
 pub use explain::{
@@ -90,7 +99,8 @@ pub use privilege::{Privilege, RoleRef};
 pub use sharded::{AdiMetrics, ShardMetrics, ShardedAdi, DEFAULT_SHARDS, EPOCH_STALL_NS};
 pub use sym::{
     dispatch, intern_request, sharded_sym_adi, BoundComp, CtxPair, Dispatched, MatchedBuf,
-    MsodScratch, ReqBufs, SymAdi, SymEngine, SymOutcome, SymPathStats, SymRecord, SymRequest,
+    MsodScratch, Replay, ReqBufs, RequestLimit, SymAdi, SymEngine, SymOutcome, SymRecord,
+    SymRequest,
 };
 /// The interner the symbol plane is built on, re-exported so layers
 /// that already depend on `msod` (the journaled store) can share a

@@ -5,6 +5,7 @@ use context::ContextName;
 use crate::constraint::{Mmep, Mmer};
 use crate::error::MsodError;
 use crate::privilege::Privilege;
+use crate::sym::MAX_POLICY_TALLY;
 
 /// One MSoD policy: a business context, optional first/last steps and a
 /// list of MMER / MMEP constraints.
@@ -24,7 +25,9 @@ pub struct MsodPolicy {
 }
 
 impl MsodPolicy {
-    /// Build a policy; it must carry at least one constraint.
+    /// Build a policy; it must carry at least one constraint, and its
+    /// constraints at most [`MAX_POLICY_TALLY`] distinct entries in
+    /// total (counted per constraint, then summed).
     pub fn new(
         business_context: ContextName,
         first_step: Option<Privilege>,
@@ -34,6 +37,11 @@ impl MsodPolicy {
     ) -> Result<Self, MsodError> {
         if mmer.is_empty() && mmep.is_empty() {
             return Err(MsodError::EmptyPolicy);
+        }
+        let entries: usize = mmer.iter().map(|c| distinct(c.roles())).sum::<usize>()
+            + mmep.iter().map(|c| distinct(c.privileges())).sum::<usize>();
+        if entries > MAX_POLICY_TALLY {
+            return Err(MsodError::TooManyEntries { entries, max: MAX_POLICY_TALLY });
         }
         Ok(MsodPolicy { business_context, first_step, last_step, mmer, mmep })
     }
@@ -57,6 +65,14 @@ impl MsodPolicy {
     pub fn is_last_step(&self, operation: &str, target: &str) -> bool {
         self.last_step.as_ref().is_some_and(|p| p.matches(operation, target))
     }
+}
+
+/// How many distinct values `entries` lists.
+fn distinct<T: Ord>(entries: &[T]) -> usize {
+    let mut sorted: Vec<&T> = entries.iter().collect();
+    sorted.sort_unstable();
+    sorted.dedup();
+    sorted.len()
 }
 
 /// An ordered set of MSoD policies, the `<MSoDPolicySet>` document.
@@ -165,6 +181,30 @@ mod tests {
             MsodPolicy::new("A=!".parse().unwrap(), None, None, vec![], vec![]),
             Err(MsodError::EmptyPolicy)
         ));
+    }
+
+    /// The tally cap counts distinct entries per constraint: duplicates
+    /// (the paper's repeat-exercise idiom) are free, and the same role
+    /// in two constraints counts twice.
+    #[test]
+    fn policy_rejects_more_distinct_entries_than_the_tally() {
+        let roles = |n: usize| (0..n).map(|i| RoleRef::new("e", format!("R{i}"))).collect();
+        let policy =
+            |mmer: Vec<Mmer>| MsodPolicy::new("A=!".parse().unwrap(), None, None, mmer, vec![]);
+        assert!(policy(vec![Mmer::new(roles(MAX_POLICY_TALLY), 2).unwrap()]).is_ok());
+        let mut doubled: Vec<RoleRef> = roles(MAX_POLICY_TALLY);
+        doubled.extend(roles(MAX_POLICY_TALLY));
+        assert!(policy(vec![Mmer::new(doubled, 2).unwrap()]).is_ok());
+        assert_eq!(
+            policy(vec![Mmer::new(roles(MAX_POLICY_TALLY + 1), 2).unwrap()]),
+            Err(MsodError::TooManyEntries { entries: MAX_POLICY_TALLY + 1, max: MAX_POLICY_TALLY })
+        );
+        let half = MAX_POLICY_TALLY / 2 + 1;
+        assert!(policy(vec![
+            Mmer::new(roles(half), 2).unwrap(),
+            Mmer::new(roles(half), 2).unwrap()
+        ])
+        .is_err());
     }
 
     #[test]

@@ -20,10 +20,11 @@
 //!   ([`SymEngine`](crate::SymEngine) reads step 3 off every held
 //!   shard, evaluates and commits on the user's, then purges each
 //!   terminated pattern on every shard through
-//!   [`RetainedAdi::purge_sym`]); management, recovery and the string
-//!   engine see the same held shards as one [`RetainedAdi`] view
-//!   ([`ShardedAdi::with_exclusive`]) and run the sequential algorithm
-//!   unchanged. Both go through one locking routine.
+//!   [`RetainedAdi::purge_sym`]), and so is §5.2 recovery
+//!   ([`SymEngine::replay`](crate::SymEngine::replay)); management
+//!   sees the same held shards as one [`RetainedAdi`] view
+//!   ([`ShardedAdi::with_exclusive`]). All go through one locking
+//!   routine.
 //!
 //! Purges only ever happen under `epoch.write()`, so a fast-path reader
 //! (which holds `epoch.read()` throughout) can never observe a context
@@ -52,12 +53,8 @@ use context::BoundContext;
 use obs::{Counter, Histogram, PromWriter, Stopwatch};
 
 use crate::adi::{sort_records, AdiRecord, RetainedAdi};
-use crate::engine::{
-    check_constraints, constraint_matches_request, make_record, GrantDetail, MsodDecision,
-    MsodEngine, MsodRequest,
-};
 
-/// Default shard count for [`ShardedAdi::with_default_shards`].
+/// Default shard count of the decision service's store.
 pub const DEFAULT_SHARDS: usize = 16;
 
 /// Stable FNV-1a over the user ID. Deterministic across processes so a
@@ -190,11 +187,6 @@ impl<A: RetainedAdi + Default> ShardedAdi<A> {
     pub fn new(shard_count: usize) -> Self {
         ShardedAdi::from_shards((0..shard_count.max(1)).map(|_| A::default()).collect())
     }
-
-    /// [`DEFAULT_SHARDS`] empty shards.
-    pub fn with_default_shards() -> Self {
-        ShardedAdi::new(DEFAULT_SHARDS)
-    }
 }
 
 impl<A: RetainedAdi> ShardedAdi<A> {
@@ -260,25 +252,6 @@ impl<A: RetainedAdi> ShardedAdi<A> {
     pub fn with_shard<R>(&self, i: usize, f: impl FnOnce(&mut A) -> R) -> R {
         let _epoch = self.epoch_read();
         f(&mut self.lock_shard(i))
-    }
-
-    /// Whether any shard retains a record within `bound`. Locks shards
-    /// one at a time; callers must not hold a shard lock.
-    pub fn context_active(&self, bound: &BoundContext) -> bool {
-        let _epoch = self.epoch_read();
-        self.context_active_unsynced(bound)
-    }
-
-    /// As [`ShardedAdi::context_active`] but the caller already holds an
-    /// epoch guard. Still locks shards one at a time — through the raw,
-    /// unmetered mutexes: this read-only probe runs up to shard-count
-    /// times per decision, so metering each briefly-held lock would both
-    /// drown the contention metrics in probe noise and put
-    /// O(shards) clock reads on the decide fast path. The sweep is
-    /// counted once in [`AdiMetrics::probe_sweeps`] instead.
-    fn context_active_unsynced(&self, bound: &BoundContext) -> bool {
-        self.metrics.probe_sweeps.inc();
-        self.shards.iter().any(|s| s.lock().context_active(bound))
     }
 
     /// Take the epoch write lock, lock every shard in index order and
@@ -351,15 +324,10 @@ impl<A: RetainedAdi> ShardedAdi<A> {
         self.len() == 0
     }
 
-    /// Consistent point-in-time snapshot of all shards, in the same
-    /// total order as [`crate::MemoryAdi::snapshot`].
+    /// Consistent point-in-time snapshot of all shards, in the store's
+    /// canonical total order (the one every backend's snapshot sorts by).
     pub fn snapshot(&self) -> Vec<AdiRecord> {
         self.with_exclusive(|view| view.snapshot())
-    }
-
-    /// `user`'s retained records within `bound`.
-    pub fn user_records(&self, user: &str, bound: &BoundContext) -> Vec<AdiRecord> {
-        self.with_user_shard(user, |shard| shard.user_records(user, bound))
     }
 
     /// The store's telemetry (per-shard lock contention, epoch traffic,
@@ -461,16 +429,16 @@ impl<A: RetainedAdi + std::fmt::Debug> std::fmt::Debug for ShardedAdi<A> {
     }
 }
 
-/// All shards locked at once, presented as one [`RetainedAdi`] so the
-/// sequential algorithm (and recovery/management) runs unchanged.
-struct ExclusiveView<'v, 'a, A> {
-    guards: &'v mut [TimedShardGuard<'a, A>],
+/// All shards locked at once, presented as one [`RetainedAdi`] for
+/// management, recovery and snapshots.
+pub(crate) struct ExclusiveView<'v, 'a, A> {
+    pub(crate) guards: &'v mut [TimedShardGuard<'a, A>],
     /// Running total of records removed through this view.
-    purged: &'a Counter,
+    pub(crate) purged: &'a Counter,
 }
 
 impl<A: RetainedAdi> ExclusiveView<'_, '_, A> {
-    fn index(&self, user: &str) -> usize {
+    pub(crate) fn index(&self, user: &str) -> usize {
         (fnv1a(user) % self.guards.len() as u64) as usize
     }
 }
@@ -524,120 +492,19 @@ impl<A: RetainedAdi> RetainedAdi for ExclusiveView<'_, '_, A> {
     }
 }
 
-impl MsodEngine {
-    /// Run §4.2 for one interim-granted request against a sharded
-    /// store, without exclusive access. Semantically equivalent to
-    /// [`MsodEngine::enforce`] up to the conservative over-retention
-    /// described in the [module docs](self).
-    ///
-    /// Two-phase shape: *check* under the requesting user's shard lock
-    /// (plus a shared epoch guard), *commit* the retained record under
-    /// the same lock only when the outcome is a grant. Requests where a
-    /// matched policy's last step fires fall back to the exclusive path
-    /// because terminating a context purges other users' records.
-    pub fn enforce_sharded<A: RetainedAdi>(
-        &self,
-        adi: &ShardedAdi<A>,
-        req: &MsodRequest<'_>,
-    ) -> MsodDecision {
-        // Step 1: match the input context instance against the policy
-        // set; exit if nothing matches.
-        let matched = self.policies().matching(req.context);
-        if matched.is_empty() {
-            return MsodDecision::NotApplicable;
-        }
-
-        // Step 7 terminations purge across users — cross-shard writes
-        // need the exclusive view.
-        let needs_exclusive = matched
-            .iter()
-            .any(|&pi| self.policies().policies()[pi].is_last_step(req.operation, req.target));
-        if needs_exclusive {
-            return adi.with_exclusive(|view| self.enforce(view, req));
-        }
-
-        // Fast path. Hold the epoch for the whole decision so no purge
-        // can interleave between the scan and the commit.
-        let _epoch = adi.epoch_read();
-
-        // Bind each matched policy and pre-compute step 3's cross-shard
-        // "context already started" facts, one shard lock at a time.
-        let bounds: Vec<BoundContext> = matched
-            .iter()
-            .map(|&pi| {
-                self.policies().policies()[pi]
-                    .business_context
-                    .bind(req.context)
-                    .expect("matched instance must bind")
-            })
-            .collect();
-        let started_elsewhere: Vec<bool> =
-            bounds.iter().map(|b| adi.context_active_unsynced(b)).collect();
-
-        let mut shard = adi.lock_shard(adi.shard_index(req.user));
-        let mut want_record = false;
-        let mut consulted = 0usize;
-        for (k, &pi) in matched.iter().enumerate() {
-            let policy = &self.policies().policies()[pi];
-            let bound = &bounds[k];
-            // Re-check against the user's own shard under its lock:
-            // same-user races serialise here, so a context this user
-            // started can never be seen as fresh twice.
-            let started = started_elsewhere[k] || shard.context_active(bound);
-
-            if !started {
-                // Step 4: recording starts at the policy's first step,
-                // or immediately when no first step is declared.
-                let starts_now =
-                    policy.first_step.is_none() || policy.is_first_step(req.operation, req.target);
-                if starts_now {
-                    if self.options().check_constraints_on_first_step {
-                        if let Some(deny) =
-                            check_constraints(policy, pi, bound, req, &*shard, &mut consulted)
-                        {
-                            return MsodDecision::Deny(deny);
-                        }
-                    }
-                    want_record = true;
-                }
-                // goto 7.
-            } else {
-                // Steps 5 and 6 read only the requesting user's
-                // history, which lives entirely in this shard.
-                match check_constraints(policy, pi, bound, req, &*shard, &mut consulted) {
-                    Some(deny) => return MsodDecision::Deny(deny),
-                    None => {
-                        if constraint_matches_request(policy, req) {
-                            want_record = true;
-                        }
-                    }
-                }
-            }
-        }
-
-        // Commit phase — still under the user's shard lock.
-        let records_added = usize::from(want_record);
-        if want_record {
-            shard.add(make_record(req));
-        }
-        MsodDecision::Grant(GrantDetail {
-            matched_policies: matched,
-            records_added,
-            terminated: Vec::new(),
-            records_purged: 0,
-            records_consulted: consulted,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::adi::MemoryAdi;
+    use crate::engine::{MsodDecision, MsodEngine, MsodRequest};
     use crate::policy::{MsodPolicy, MsodPolicySet};
     use crate::privilege::{Privilege, RoleRef};
-    use crate::{Mmep, Mmer};
+    use crate::sym::{dispatch, sharded_sym_adi, MsodScratch, SymAdi, SymEngine};
+    use crate::{EngineOptions, Mmep, Mmer};
     use context::ContextInstance;
+    use symtab::SymbolTable;
 
     fn role(v: &str) -> RoleRef {
         RoleRef::new("role", v)
@@ -647,10 +514,10 @@ mod tests {
         s.parse().unwrap()
     }
 
-    fn engine() -> MsodEngine {
-        // One policy over Proc=!: MMER {A,B} m=2, and the paper's
-        // duplicate-entry idiom MMEP({p,p},2) = "(approve, doc) at most
-        // once per instance"; last step (close, doc).
+    /// One policy over Proc=!: MMER {A,B} m=2, and the paper's
+    /// duplicate-entry idiom MMEP({p,p},2) = "(approve, doc) at most
+    /// once per instance"; last step (close, doc).
+    fn policies() -> MsodPolicySet {
         let approve = Privilege::new("approve", "doc");
         let policy = MsodPolicy::new(
             "Proc=!".parse().unwrap(),
@@ -660,7 +527,28 @@ mod tests {
             vec![Mmep::new(vec![approve.clone(), approve], 2).unwrap()],
         )
         .unwrap();
-        MsodEngine::new(MsodPolicySet::new(vec![policy]))
+        MsodPolicySet::new(vec![policy])
+    }
+
+    /// The compiled engine over `shards` symbolized shards.
+    struct Store {
+        engine: SymEngine,
+        table: Arc<SymbolTable>,
+        adi: ShardedAdi<SymAdi>,
+    }
+
+    impl Store {
+        fn new(shards: usize) -> Self {
+            let table = Arc::new(SymbolTable::new());
+            let engine =
+                SymEngine::compile(&policies(), &EngineOptions::default(), &table).unwrap();
+            Store { adi: sharded_sym_adi(&table, shards), engine, table }
+        }
+
+        fn decide(&self, req: &MsodRequest<'_>) -> MsodDecision {
+            let mut scratch = MsodScratch::default();
+            dispatch(&self.engine, &self.table, &self.adi, req, &mut scratch, false).decision
+        }
     }
 
     fn req<'a>(
@@ -683,81 +571,38 @@ mod tests {
         }
     }
 
+    /// The sharded store decides like the reference engine over one
+    /// flat store — an MMER and an MMEP deny across shards, and a last
+    /// step purging every shard included.
     #[test]
     fn sharded_matches_sequential_engine() {
-        let eng = engine();
-        let sharded: ShardedAdi<MemoryAdi> = ShardedAdi::new(4);
+        let reference = MsodEngine::new(policies());
+        let sharded = Store::new(4);
         let mut flat = MemoryAdi::new();
         let c = ctx("Proc=p1");
 
-        let alice = [role("A")];
-        let bob = [role("B")];
-        let steps: Vec<(&str, &[RoleRef], &str)> = vec![
-            ("alice", &alice, "open"),
-            ("alice", &alice, "approve"),
-            ("bob", &bob, "approve"),
-            ("bob", &bob, "edit"),
-            ("alice", &alice, "close"),
-            ("bob", &bob, "open"),
+        let a = [role("A")];
+        let b = [role("B")];
+        let steps: Vec<(&str, &[RoleRef], &str, bool)> = vec![
+            ("alice", &a, "open", true),
+            ("alice", &b, "edit", false), // MMER {A, B}
+            ("alice", &a, "approve", true),
+            ("bob", &b, "approve", true),
+            ("alice", &a, "approve", false), // MMEP {approve, approve}
+            ("bob", &b, "edit", true),
+            ("alice", &a, "close", true), // purges every shard
+            ("bob", &b, "open", true),
         ];
-        for (ts, (user, roles, op)) in steps.into_iter().enumerate() {
+        for (ts, (user, roles, op, granted)) in steps.into_iter().enumerate() {
             let r = req(user, roles, op, &c, ts as u64);
-            let a = eng.enforce_sharded(&sharded, &r);
-            let b = eng.enforce(&mut flat, &r);
-            assert_eq!(a, b, "step {ts}: {user} {op}");
-            assert_eq!(sharded.snapshot(), flat.snapshot(), "step {ts}");
-        }
-    }
-
-    #[test]
-    fn mmer_denied_across_shards() {
-        let eng = engine();
-        let adi: ShardedAdi<MemoryAdi> = ShardedAdi::new(4);
-        let c = ctx("Proc=p9");
-        let a = [role("A")];
-        let both = [role("B")];
-        assert!(eng.enforce_sharded(&adi, &req("u1", &a, "open", &c, 1)).is_granted());
-        // Same user trying to pick up the second conflicting role.
-        let deny = eng.enforce_sharded(&adi, &req("u1", &both, "edit", &c, 2));
-        assert!(!deny.is_granted());
-        // A different user with role B is fine.
-        assert!(eng.enforce_sharded(&adi, &req("u2", &both, "edit", &c, 3)).is_granted());
-    }
-
-    #[test]
-    fn last_step_purges_all_shards() {
-        let eng = engine();
-        let adi: ShardedAdi<MemoryAdi> = ShardedAdi::new(4);
-        let c = ctx("Proc=p2");
-        let a = [role("A")];
-        let b = [role("B")];
-        assert!(eng.enforce_sharded(&adi, &req("u1", &a, "open", &c, 1)).is_granted());
-        assert!(eng.enforce_sharded(&adi, &req("u2", &b, "edit", &c, 2)).is_granted());
-        assert_eq!(adi.len(), 2);
-        let done = eng.enforce_sharded(&adi, &req("u1", &a, "close", &c, 3));
-        match done {
-            MsodDecision::Grant(detail) => {
-                assert_eq!(detail.terminated.len(), 1);
-                assert_eq!(detail.records_purged, 3);
+            let got = sharded.decide(&r);
+            assert_eq!(got.is_granted(), granted, "step {ts}: {op}");
+            assert_eq!(got, reference.enforce(&mut flat, &r), "step {ts}: {op}");
+            assert_eq!(sharded.adi.snapshot(), flat.snapshot(), "step {ts}");
+            if op == "close" {
+                assert!(sharded.adi.is_empty());
             }
-            other => panic!("expected grant, got {other:?}"),
         }
-        assert!(adi.is_empty());
-    }
-
-    #[test]
-    fn mmep_caps_repeat_exercise_across_shards() {
-        let eng = engine();
-        let adi: ShardedAdi<MemoryAdi> = ShardedAdi::new(3);
-        let c = ctx("Proc=p3");
-        let a = [role("A")];
-        let b = [role("B")];
-        assert!(eng.enforce_sharded(&adi, &req("u1", &a, "approve", &c, 1)).is_granted());
-        assert!(eng.enforce_sharded(&adi, &req("u2", &b, "approve", &c, 2)).is_granted());
-        // MMEP m=2: a second approve by u1 must be denied.
-        let deny = eng.enforce_sharded(&adi, &req("u1", &a, "approve", &c, 3));
-        assert!(!deny.is_granted());
-        assert_eq!(adi.snapshot().len(), 2);
     }
 
     #[test]
@@ -780,39 +625,27 @@ mod tests {
         assert_eq!(adi.purge_older_than(2), 2);
         assert_eq!(adi.len(), 3);
         let bound = BoundContext::from_name("Proc=x".parse().unwrap()).unwrap();
-        assert!(adi.context_active(&bound));
         assert_eq!(adi.purge(&bound), 3);
         assert!(adi.is_empty());
     }
 
     #[test]
     fn concurrent_first_steps_all_commit() {
-        let eng = std::sync::Arc::new(engine());
-        let adi = std::sync::Arc::new(ShardedAdi::<MemoryAdi>::new(8));
+        let store = Store::new(8);
         let c = ctx("Proc=storm");
         std::thread::scope(|s| {
             for t in 0..8 {
-                let eng = std::sync::Arc::clone(&eng);
-                let adi = std::sync::Arc::clone(&adi);
-                let c = c.clone();
+                let (store, c) = (&store, &c);
                 s.spawn(move || {
                     let user = format!("user-{t}");
                     let roles = [role("A")];
-                    let r = MsodRequest {
-                        user: &user,
-                        roles: &roles,
-                        operation: "open",
-                        target: "doc",
-                        context: &c,
-                        timestamp: t,
-                    };
-                    assert!(eng.enforce_sharded(&adi, &r).is_granted());
+                    assert!(store.decide(&req(&user, &roles, "open", c, t)).is_granted());
                 });
             }
         });
         // Every thread ran a first step; over-retention means all 8 may
         // be kept, and at least one must be.
-        let n = adi.len();
+        let n = store.adi.len();
         assert!((1..=8).contains(&n), "retained {n}");
     }
 }

@@ -180,8 +180,10 @@ pub enum WireVerdict {
         /// The forbidden cardinality reached.
         cardinality: u32,
     },
-    /// Denied before the MSoD stage (domain, credentials, RBAC), with
-    /// the stable deny-reason string.
+    /// Denied without an MSoD constraint verdict, with the stable
+    /// deny-reason string: before the MSoD stage (domain, credentials,
+    /// RBAC), or by it for exceeding a fixed engine bound (a
+    /// `resource limit: …` reason).
     FrontEnd(String),
 }
 

@@ -55,38 +55,150 @@ fn unknown_path_is_404_and_server_survives() {
     assert!(status.contains("200"), "{status}");
 }
 
+/// The value of the unlabelled family `family` in a metrics document.
+fn family_value(doc: &str, family: &str) -> u64 {
+    doc.lines()
+        .find_map(|line| line.strip_prefix(family)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("{family} missing from:\n{doc}"))
+}
+
+/// `server.metrics_text()` once every accepted connection has been torn
+/// down (the worker counts a close after the connection's last reply,
+/// so a client that already hung up is not counted yet).
+fn settled_metrics(server: &NetServer) -> String {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    loop {
+        let doc = server.metrics_text();
+        let opened = family_value(&doc, "net_connections_opened_total");
+        if family_value(&doc, "net_connections_closed_total") == opened {
+            return doc;
+        }
+        assert!(std::time::Instant::now() < deadline, "connections never settled:\n{doc}");
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+}
+
 /// The `/metrics` endpoint serves exactly `NetServer::metrics_text()`,
 /// whose head is exactly the service's own `metrics_text()` — one
 /// renderer, no drift — and the whole document passes the shared
 /// validator that `msod-cli metrics --watch` uses.
+///
+/// A served document is rendered while its own HTTP connection is
+/// open, so it counts that connection as active and not yet closed;
+/// those two families are compared against the settled renderer
+/// exactly, off by that one connection, and every other line byte for
+/// byte.
 #[test]
 fn metrics_endpoint_is_byte_identical_to_renderer() {
+    const OWN_CONNECTION: [&str; 2] = ["net_connections_active", "net_connections_closed_total"];
     let (server, svc, addr) = spawn_server();
     let mut client = NetClient::connect(&addr).unwrap();
     for i in 0..4 {
         client.decide(&work("u1", "Member", "p1", i + 1)).unwrap();
     }
-    drop(client); // settle conns_closed so the documents agree
+    drop(client);
+    settled_metrics(&server);
 
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    loop {
-        // The worker marks the connection closed asynchronously;
-        // retry until the served document and the renderer agree.
+    for _ in 0..2 {
         let (status, body) = http_get(&addr, "/metrics").unwrap();
         assert!(status.contains("200"), "{status}");
-        let rendered = server.metrics_text();
-        if body == rendered {
-            obs::validate_metrics_text(&body).unwrap();
-            let service_doc = svc.metrics_text();
-            assert!(
-                body.starts_with(&service_doc),
-                "service document must be a byte-prefix of the served document"
-            );
-            assert!(body.contains("net_http_requests_total"));
-            break;
-        }
-        assert!(std::time::Instant::now() < deadline, "documents never converged:\n{body}");
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        let settled = settled_metrics(&server);
+        obs::validate_metrics_text(&body).unwrap();
+        let others = |doc: &str| -> Vec<String> {
+            doc.lines()
+                .filter(|line| !OWN_CONNECTION.iter().any(|f| line.starts_with(&format!("{f} "))))
+                .map(str::to_owned)
+                .collect()
+        };
+        assert_eq!(others(&body), others(&settled));
+        let own = u64::from(obs::enabled());
+        assert_eq!(
+            family_value(&body, "net_connections_active"),
+            family_value(&settled, "net_connections_active") + own
+        );
+        assert_eq!(
+            family_value(&body, "net_connections_closed_total") + own,
+            family_value(&settled, "net_connections_closed_total")
+        );
+        assert!(
+            body.starts_with(&svc.metrics_text()),
+            "service document must be a byte-prefix of the served document"
+        );
+        assert!(body.contains("net_http_requests_total"));
+    }
+}
+
+/// A request beyond each fixed bound of the MSoD engine — too many
+/// roles, too deep a context, too many matching policies — is denied
+/// over the wire, one frame at a time and inside a batch, with its
+/// resource-limit reason; every deny is audited and nothing is
+/// retained, while the in-bound request beside them is decided.
+#[test]
+fn over_limit_requests_deny_over_the_wire() {
+    use msod::sym::{MAX_CTX_DEPTH, MAX_MATCHED, MAX_REQ_ROLES};
+    use msod::RequestLimit;
+
+    let allowed: String =
+        (0..=MAX_REQ_ROLES).map(|r| format!("<AllowedRole value=\"R{r}\"/>")).collect();
+    let mut scopes = vec!["Proc=!".to_owned(); MAX_MATCHED];
+    scopes.push("Proc=!, Step=!".into());
+    let policies: String = scopes
+        .iter()
+        .map(|scope| {
+            format!(
+                r#"<MSoDPolicy BusinessContext="{scope}"><MMER ForbiddenCardinality="2">
+                <Role type="permisRole" value="R0"/><Role type="permisRole" value="R1"/>
+                </MMER></MSoDPolicy>"#
+            )
+        })
+        .collect();
+    let xml = format!(
+        r#"<RBACPolicy id="limits" roleType="permisRole">
+  <SOAPolicy><SOA dn="cn=SOA"/></SOAPolicy>
+  <TargetAccessPolicy><TargetAccess operation="work" targetURI="t">{allowed}</TargetAccess></TargetAccessPolicy>
+  <MSoDPolicySet>{policies}</MSoDPolicySet>
+</RBACPolicy>"#
+    );
+    let svc = Arc::new(DecisionService::from_xml_symbolized(&xml, b"limits".to_vec()).unwrap());
+    let server = NetServer::bind("127.0.0.1:0", Arc::clone(&svc), NetConfig::default()).unwrap();
+    let mut client = NetClient::connect(&server.local_addr().to_string()).unwrap();
+
+    let request = |roles: usize, context: String| {
+        DecisionRequest::with_roles(
+            "u1",
+            (0..roles).map(|r| RoleRef::permis(format!("R{r}"))).collect(),
+            "work",
+            "t",
+            context.parse().unwrap(),
+            1,
+        )
+    };
+    let deep_instance: Vec<String> = (0..=MAX_CTX_DEPTH).map(|d| format!("T{d}=v")).collect();
+    let over = [
+        (request(MAX_REQ_ROLES + 1, "Proc=1".into()), RequestLimit::Roles),
+        (request(1, deep_instance.join(", ")), RequestLimit::ContextDepth),
+        (request(1, "Proc=1, Step=s".into()), RequestLimit::MatchedPolicies),
+    ];
+    let reason = |limit: RequestLimit| {
+        WireVerdict::FrontEnd(permis::DenyReason::ResourceLimit(limit).to_string())
+    };
+    for (req, limit) in &over {
+        assert_eq!(client.decide(req).unwrap(), reason(*limit));
+    }
+    let mut batch: Vec<DecisionRequest> = over.iter().map(|(req, _)| req.clone()).collect();
+    batch.push(request(1, "Proc=1".into()));
+    let mut verdicts = client.decide_batch(&batch).unwrap();
+    assert!(matches!(verdicts.pop(), Some(WireVerdict::Grant { added: 1, .. })));
+    assert_eq!(verdicts, over.iter().map(|&(_, limit)| reason(limit)).collect::<Vec<_>>());
+
+    assert_eq!(svc.adi().len(), 1, "only the in-bound request retained a record");
+    let audited = svc.with_trail(|t| {
+        t.open_records().iter().filter(|r| r.event.note.starts_with("resource limit: ")).count()
+    });
+    assert_eq!(audited, 2 * over.len());
+    if obs::enabled() {
+        let needle = format!("permis_reqbuf_overflow_total {}", 2 * over.len());
+        assert!(svc.metrics_text().contains(&needle), "{needle} missing");
     }
 }
 

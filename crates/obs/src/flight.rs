@@ -228,11 +228,11 @@ mod tests {
         assert_eq!(body, "{\"reason\":\"p999_latency\",\"n\":4}");
         // Same reason latches; a new reason dumps its own file.
         assert_eq!(rec.trigger("p999_latency", render), None);
-        let second = rec.trigger("sym_fallback", render).expect("fresh reason dumps");
+        let second = rec.trigger("epoch_stall", render).expect("fresh reason dumps");
         assert_eq!(rec.triggers_total(), 3);
         assert_eq!(rec.dumps_total(), 2);
         assert_eq!(rec.last_dump(), Some(second));
-        assert_eq!(rec.last_trigger().as_deref(), Some("sym_fallback"));
+        assert_eq!(rec.last_trigger().as_deref(), Some("epoch_stall"));
         // Re-arming lets a reason dump again.
         rec.rearm();
         assert!(rec.trigger("p999_latency", render).is_some());

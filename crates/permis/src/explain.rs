@@ -39,10 +39,11 @@ pub struct Explanation {
     pub roles: Vec<String>,
     /// The stable deny-reason string; `None` on grants.
     pub reason: Option<String>,
-    /// Which engine decided the MSoD stage: `"sym"` for the compiled
-    /// symbol engine (last steps included), `"string"` for the string
-    /// engine (an oversize request, or a service with no compiled engine), `"front_end"` when the request
-    /// never reached MSoD, `"replica_gate"` when a replica refused it.
+    /// Which stage decided: `"sym"` when the compiled MSoD engine
+    /// evaluated the request (last steps included), `"resource_limit"`
+    /// when the MSoD stage denied it unevaluated for exceeding a fixed
+    /// engine bound, `"front_end"` when the request never reached MSoD,
+    /// `"replica_gate"` when a replica refused it.
     pub engine: &'static str,
     /// The §4.2 derivation. `None` when the front end denied before
     /// MSoD ran, or when instrumentation is compiled out (`obs-off`).
@@ -385,7 +386,7 @@ mod tests {
 
     #[test]
     fn text_render_covers_verdict_and_reason() {
-        let ex = Explanation::from_outcome(&req(), &deny_outcome(), None, "string");
+        let ex = Explanation::from_outcome(&req(), &deny_outcome(), None, "front_end");
         let text = ex.render_text();
         assert!(text.starts_with("DENY audit on books"));
         assert!(text.contains("reason: RBAC target access policy denies"));
@@ -394,7 +395,7 @@ mod tests {
 
     #[test]
     fn json_escapes_and_balances() {
-        let ex = Explanation::from_outcome(&req(), &deny_outcome(), None, "string");
+        let ex = Explanation::from_outcome(&req(), &deny_outcome(), None, "front_end");
         let json = ex.render_json();
         assert!(json.contains(r#""user":"cn=alice \"quoted\"""#), "{json}");
         assert!(json.contains(r#""msod":null"#));
@@ -408,11 +409,11 @@ mod tests {
             &req(),
             &deny_outcome(),
             Some(msod::MsodExplanation::not_applicable()),
-            "symbolized",
+            "sym",
         );
         let json = ex.render_json();
         assert!(json.contains(r#""msod":{"step":1"#), "{json}");
-        assert!(json.contains(r#""engine":"symbolized""#));
+        assert!(json.contains(r#""engine":"sym""#));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 

@@ -84,8 +84,6 @@ pub struct FlightEntry {
     pub user_sym: u32,
     /// `true` for grants.
     pub granted: bool,
-    /// Whether the string engine decided this request's MSoD stage.
-    pub fell_back: bool,
     /// End-to-end decide latency.
     pub total_ns: u64,
     /// Phase 1 (credential validation) checkpoint.
@@ -115,8 +113,6 @@ pub struct MetricFrame {
     pub grants: u64,
     /// Cumulative denies at capture.
     pub denies: u64,
-    /// Cumulative symbolized-path fallbacks at capture.
-    pub sym_fallbacks: u64,
     /// Decide-latency histogram counts accumulated since the previous
     /// frame (mergeable — summing consecutive frames widens the
     /// window).
@@ -159,12 +155,9 @@ pub struct DecideMetrics {
     pub audit_append_ns: Histogram,
     /// Gates the phase histograms to 1-in-[`PHASE_SAMPLE`] decisions.
     pub phase_sampler: Sampler,
-    /// MSoD-stage decides the string engine served: the symbolized
-    /// fast path declined them, or no engine was compiled.
-    pub sym_fallbacks: Counter,
-    /// Fallbacks caused specifically by the request overflowing the
-    /// fixed interning buffers (roles or context depth).
-    pub reqbuf_overflows: Counter,
+    /// Requests denied because they exceed a fixed bound of the MSoD
+    /// engine (roles, context depth, matching policies).
+    pub resource_limit_denies: Counter,
     /// `decide_many` batches evaluated.
     pub batches: Counter,
     /// Requests per `decide_many` batch.
@@ -208,8 +201,7 @@ impl Default for DecideMetrics {
             msod_ns: Histogram::new(),
             audit_append_ns: Histogram::new(),
             phase_sampler: Sampler::new(),
-            sym_fallbacks: Counter::new(),
-            reqbuf_overflows: Counter::new(),
+            resource_limit_denies: Counter::new(),
             batches: Counter::new(),
             batch_size: Histogram::new(),
             applies: Counter::new(),
@@ -343,7 +335,6 @@ impl DecideMetrics {
             decisions: self.decisions.get(),
             grants: self.grants.get(),
             denies: self.denies.get(),
-            sym_fallbacks: self.sym_fallbacks.get(),
             decide_delta: delta,
             slowest_ns: slowest.ns,
             slowest_ticket: slowest.ticket,
@@ -407,16 +398,11 @@ impl DecideMetrics {
             self.traces.len() as u64,
         );
         w.counter(
-            "permis_sym_fallback_total",
-            "MSoD-stage decides the string engine served instead of the symbolized engine.",
-            &[],
-            self.sym_fallbacks.get(),
-        );
-        w.counter(
             "permis_reqbuf_overflow_total",
-            "Sym fallbacks caused by request-buffer overflow during interning.",
+            "Requests denied for exceeding a fixed MSoD engine bound (roles, context depth, \
+             matching policies).",
             &[],
-            self.reqbuf_overflows.get(),
+            self.resource_limit_denies.get(),
         );
         w.counter(
             "permis_decide_batches_total",
@@ -488,13 +474,12 @@ pub fn render_flight_snapshot(
         }
         let user = table.resolve_user(symtab::UserId::from_u32(e.user_sym));
         out.push_str(&format!(
-            "{{\"timestamp\":{},\"user\":{},\"granted\":{},\"fell_back\":{},\
+            "{{\"timestamp\":{},\"user\":{},\"granted\":{},\
              \"total_ns\":{},\"front_ns\":{},\"msod_ns\":{},\"records_consulted\":{},\
              \"shard\":{},\"shard_wait_ns\":{}}}",
             e.timestamp,
             json_string(&user),
             e.granted,
-            e.fell_back,
             e.total_ns,
             e.front_ns,
             e.msod_ns,
@@ -509,8 +494,7 @@ pub fn render_flight_snapshot(
 
 /// Export symbol-plane gauges for one [`SymbolTable`]: interned-entry
 /// counts and arena capacities per kind. Capacity equal to count means
-/// the next intern of that kind reallocates (or, for request buffers,
-/// falls back to the string engine).
+/// the next intern of that kind reallocates.
 pub fn export_symtab(w: &mut PromWriter, table: &SymbolTable) {
     let counts = table.counts();
     let caps = table.capacities();

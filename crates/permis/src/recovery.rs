@@ -4,7 +4,7 @@
 
 use audit::{EventKind, Record};
 use context::{BoundContext, ContextInstance, ContextName};
-use msod::{MsodRequest, RetainedAdi, RoleRef};
+use msod::{MsodRequest, Replay, RetainedAdi, RoleRef};
 
 use crate::front_end::decode_role;
 
@@ -20,15 +20,15 @@ pub struct RecoveryReport {
     /// Purge events (context terminations / admin purges) re-applied.
     pub purges_applied: usize,
     /// Records skipped because they no longer decode (e.g. a context
-    /// whose instance string fails to parse).
+    /// whose instance string fails to parse), or because the grant
+    /// exceeds the decision engine's request bounds.
     pub undecodable: usize,
 }
 
 /// Re-apply one recovered audit record to an ADI being rebuilt by
 /// [`crate::DecisionService::recover`](crate::DecisionService::recover).
-pub(crate) fn apply_recovered_record(
-    engine: &msod::MsodEngine,
-    adi: &mut dyn RetainedAdi,
+pub(crate) fn apply_recovered_record<A: RetainedAdi>(
+    replay: &mut Replay<'_, '_, A>,
     rec: &Record,
     report: &mut RecoveryReport,
 ) {
@@ -44,7 +44,6 @@ pub(crate) fn apply_recovered_record(
                 report.undecodable += 1;
                 return;
             }
-            report.grants_replayed += 1;
             let req = MsodRequest {
                 user: &rec.event.user,
                 roles: &roles,
@@ -53,12 +52,16 @@ pub(crate) fn apply_recovered_record(
                 context: &context,
                 timestamp: rec.timestamp,
             };
-            engine.replay_grant(adi, &req);
+            match replay.grant(&req) {
+                Ok(_) => report.grants_replayed += 1,
+                Err(_) => report.undecodable += 1,
+            }
         }
         EventKind::ContextTerminated | EventKind::AdminPurge => {
-            // Re-apply explicit purges (idempotent; replay_grant
-            // already purges for last-step grants, but management
-            // purges have no grant to carry them).
+            // Re-apply explicit purges (idempotent; a replayed last-step
+            // grant already purges, but management purges have no
+            // grant to carry them).
+            let adi = replay.store();
             if rec.event.context.is_empty() {
                 // Older-than purge convention: note = "olderThan:<t>".
                 if let Some(cutoff) =
@@ -253,6 +256,37 @@ mod tests {
         let svc = service(POLICY);
         svc.attach_store(TrailStore::open(&dir).unwrap());
         assert!(svc.recover(10, 0).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A trail grant beyond the engine's request bounds (written by a
+    /// build without them, say) is skipped and counted, not replayed;
+    /// the grants around it still are.
+    #[test]
+    fn over_limit_trail_grants_are_counted_undecodable() {
+        use audit::{AuditEvent, AuditTrail};
+        use msod::sym::{MAX_CTX_DEPTH, MAX_REQ_ROLES};
+
+        let dir = temp_dir("over-limit");
+        let mut trail = AuditTrail::new(b"key".to_vec());
+        let grant = |user: &str, roles: usize, context: String| {
+            let roles = (0..roles).map(|i| format!("employee:Teller{i}"));
+            AuditEvent::grant(user, roles.collect(), "handleCash", "till", context, true)
+        };
+        let york = || "Branch=York, Period=2006".to_owned();
+        let deep: Vec<String> = (0..=MAX_CTX_DEPTH).map(|d| format!("T{d}=v")).collect();
+        trail.append(grant("alice", 1, york()), 1);
+        trail.append(grant("mallory", MAX_REQ_ROLES + 1, york()), 2);
+        trail.append(grant("mallory", 1, deep.join(", ")), 3);
+        let idx = trail.rotate().unwrap();
+        TrailStore::open(&dir).unwrap().save_segment(idx, &trail.segments()[idx]).unwrap();
+
+        let svc = service(POLICY);
+        svc.attach_store(TrailStore::open(&dir).unwrap());
+        let report = svc.recover(10, 0).unwrap();
+        assert_eq!((report.grants_replayed, report.undecodable), (1, 2));
+        assert_eq!(svc.adi().len(), 1);
+        assert_eq!(svc.adi().snapshot()[0].user, "alice");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

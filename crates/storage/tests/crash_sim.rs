@@ -13,7 +13,7 @@
 //!    No recovered store ever contains an op that was not fully
 //!    journaled, and never loses one that was synced.
 //! 2. **MSoD invariants** — history generated exclusively through
-//!    [`MsodEngine::enforce`] still satisfies the MMER/MMEP constraints
+//!    the reference `MsodEngine::enforce` still satisfies the MMER/MMEP constraints
 //!    after recovery (the same invariant `tests/concurrent_pdp.rs`
 //!    checks live): no user ever holds `m` conflicting roles, or `m`
 //!    conflicting privileges, within one bound business context.
@@ -437,10 +437,9 @@ fn sym_commit_crash_cycle(seed: u64) {
     let vfs = FaultVfs::default();
     let arc: Arc<dyn Vfs> = Arc::new(vfs.clone());
     let path = Path::new(JOURNAL);
-    let string_engine = engine();
     let table = Arc::new(SymbolTable::new());
-    let sym = SymEngine::compile(string_engine.policies(), &EngineOptions::default(), &table)
-        .expect("the deal policy compiles to the fast path");
+    let sym = SymEngine::compile(engine().policies(), &EngineOptions::default(), &table)
+        .expect("every buildable policy set compiles");
     let store = PersistentAdi::open_with_table(Arc::clone(&arc), path, Arc::clone(&table)).unwrap();
     let adi = ShardedAdi::from_shards(vec![store]);
     let mut scratch = MsodScratch::default();
@@ -449,7 +448,7 @@ fn sym_commit_crash_cycle(seed: u64) {
     let mut committed = 0usize;
     for i in 0..rng.random_range(1..=150u64) {
         with_random_request(&mut rng, i, |req| {
-            dispatch(&string_engine, Some(&sym), &table, &adi, req, &mut scratch, false).decision
+            dispatch(&sym, &table, &adi, req, &mut scratch, false).decision
         });
         states.push(adi.snapshot());
         if rng.random_range(0..6u8) == 0 {

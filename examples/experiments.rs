@@ -7,8 +7,8 @@
 //!
 //! Run with: `cargo run --release --example experiments`
 
-use msod::{AdiRecord, MemoryAdi, RetainedAdi, RoleRef};
-use permis::{DecisionRequest, DecisionService};
+use msod::{AdiRecord, MemoryAdi, MsodEngine, MsodRequest, RetainedAdi, RoleRef};
+use permis::{Credentials, DecisionRequest, DecisionService};
 use policy::PdpPolicy;
 use workflow::scenarios::{
     gen_requests, seed_adi, workload_policy_xml, workload_policy_xml_no_msod, WorkloadConfig,
@@ -186,10 +186,34 @@ fn e4_scoping_table() {
     println!();
 }
 
-/// Service over the paper's flat in-core store (the reference
-/// `MemoryAdi` the tests compare against), decided by the string engine.
-fn flat(policy: PdpPolicy) -> DecisionService<MemoryAdi> {
-    DecisionService::with_shard_count(policy, b"k".to_vec(), msod::DEFAULT_SHARDS)
+/// Mean time of the MSoD stage alone over the paper's flat in-core
+/// store: the reference engine's `enforce` over the reference
+/// `MemoryAdi` holding `records` (the pair the tests compare the
+/// decision engine against; no service decides through them). The
+/// probe must not mutate the store.
+fn flat_stage(
+    policy: &PdpPolicy,
+    records: &[AdiRecord],
+    req: &DecisionRequest,
+    expect_deny: bool,
+) -> std::time::Duration {
+    let engine = MsodEngine::new(policy.msod.clone());
+    let mut adi = MemoryAdi::new();
+    records.iter().cloned().for_each(|rec| adi.add(rec));
+    let Credentials::Validated(roles) = &req.credentials else {
+        unreachable!("E8 probes carry validated roles")
+    };
+    let req = MsodRequest {
+        user: &req.subject,
+        roles,
+        operation: &req.operation,
+        target: &req.target,
+        context: &req.context,
+        timestamp: req.timestamp,
+    };
+    assert_eq!(engine.enforce(&mut adi, &req).is_granted(), !expect_deny);
+    let iters = 2_000;
+    time_it(|| (0..iters).for_each(|_| drop(engine.enforce(&mut adi, &req)))).1 / iters
 }
 
 /// `svc` with `records` loaded into its retained ADI.
@@ -204,13 +228,14 @@ fn loaded<A: RetainedAdi + 'static>(
 /// E8 — decision latency vs retained-ADI size, MSoD vs plain RBAC.
 fn e8_decision_latency() {
     println!("E8. Decision latency vs retained-ADI size (coarse)");
-    println!("| ADI records | plain RBAC | MSoD flat store | MSoD symbolized store |");
-    println!("|-------------|------------|-----------------|-----------------------|");
+    println!("| ADI records | plain RBAC | MSoD stage only, flat store | MSoD symbolized store |");
+    println!("|-------------|------------|-----------------------------|-----------------------|");
     // The probe is a DENIED request (user0 already acted as A0 in
     // Proc=0, now presents B0): denials read the full history path but
     // never mutate the ADI, so the seeded size stays fixed while we
-    // measure. Three configurations: plain RBAC, MSoD over the paper's
-    // flat store, MSoD over the symbolized context-trie store.
+    // measure. Three configurations: the whole decide under plain RBAC,
+    // the MSoD stage alone over the paper's flat store, and the whole
+    // decide with MSoD over the symbolized context-trie store.
     let cfg = WorkloadConfig { users: 200, contexts: 50, role_pairs: 4, ..Default::default() };
     fn measure<A: RetainedAdi + 'static>(
         pdp: DecisionService<A>,
@@ -253,14 +278,18 @@ fn e8_decision_latency() {
         );
         let plain = policy::parse_rbac_policy(&workload_policy_xml_no_msod(&cfg)).unwrap();
         let with_msod = policy::parse_rbac_policy(&workload_policy_xml(&cfg)).unwrap();
-        let t_plain = measure(loaded(flat(plain), &records), &req, false);
-        let t_flat = measure(loaded(flat(with_msod.clone()), &records), &req, true);
+        let t_plain = measure(
+            loaded(DecisionService::new_symbolized(plain, b"k".to_vec()), &records),
+            &req,
+            false,
+        );
+        let t_flat = flat_stage(&with_msod, &records, &req, true);
         let t_sym = measure(
             loaded(DecisionService::new_symbolized(with_msod, b"k".to_vec()), &records),
             &req,
             true,
         );
-        println!("| {n:>11} | {t_plain:>10.2?} | {t_flat:>15.2?} | {t_sym:>21.2?} |");
+        println!("| {n:>11} | {t_plain:>10.2?} | {t_flat:>27.2?} | {t_sym:>21.2?} |");
     }
     println!();
 
@@ -270,8 +299,8 @@ fn e8_decision_latency() {
     // ~O(depth). The first-step-gated policy makes this probe
     // non-mutating.
     println!("E8b. First-request-in-new-context latency (context_active miss)");
-    println!("| ADI records | MSoD flat store | MSoD symbolized store |");
-    println!("|-------------|-----------------|-----------------------|");
+    println!("| ADI records | MSoD stage only, flat store | MSoD symbolized store |");
+    println!("|-------------|-----------------------------|-----------------------|");
     for n in [1_000usize, 10_000, 100_000] {
         let records = seeded(n, None);
         let req = DecisionRequest::with_roles(
@@ -285,13 +314,13 @@ fn e8_decision_latency() {
         let gated =
             policy::parse_rbac_policy(&workflow::scenarios::workload_policy_xml_first_step(&cfg))
                 .unwrap();
-        let t_flat = measure(loaded(flat(gated.clone()), &records), &req, false);
+        let t_flat = flat_stage(&gated, &records, &req, false);
         let t_sym = measure(
             loaded(DecisionService::new_symbolized(gated, b"k".to_vec()), &records),
             &req,
             false,
         );
-        println!("| {n:>11} | {t_flat:>15.2?} | {t_sym:>21.2?} |");
+        println!("| {n:>11} | {t_flat:>27.2?} | {t_sym:>21.2?} |");
     }
     println!();
 }

@@ -314,25 +314,16 @@ fn print_history<A: msod_rbac::msod::RetainedAdi + 'static>(svc: &DecisionServic
         return;
     }
     println!(
-        "| {:>5} | {:>9} | {:>6} | {:>6} | {:>9} | {:>8} | {:>10} | {:>10} | {:>12} | slowest",
-        "frame",
-        "decisions",
-        "grants",
-        "denies",
-        "fallbacks",
-        "window n",
-        "p50 ns",
-        "p99 ns",
-        "slowest ns"
+        "| {:>5} | {:>9} | {:>6} | {:>6} | {:>8} | {:>10} | {:>10} | {:>12} | slowest",
+        "frame", "decisions", "grants", "denies", "window n", "p50 ns", "p99 ns", "slowest ns"
     );
     for f in svc.metrics().history() {
         println!(
-            "| {:>5} | {:>9} | {:>6} | {:>6} | {:>9} | {:>8} | {:>10} | {:>10} | {:>12} | #{} {}",
+            "| {:>5} | {:>9} | {:>6} | {:>6} | {:>8} | {:>10} | {:>10} | {:>12} | #{} {}",
             f.seq,
             f.decisions,
             f.grants,
             f.denies,
-            f.sym_fallbacks,
             f.decide_delta.count,
             f.decide_delta.quantile(0.5),
             f.decide_delta.quantile(0.99),

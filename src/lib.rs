@@ -20,7 +20,7 @@ pub use xmlkit;
 /// The handful of types almost every embedding needs, re-exported flat.
 pub mod prelude {
     pub use context::{ContextInstance, ContextName};
-    pub use msod::{MsodDecision, MsodEngine, RetainedAdi, RoleRef};
+    pub use msod::{MsodDecision, RetainedAdi, RoleRef};
     pub use permis::{
         Credentials, DecisionOutcome, DecisionRequest, DecisionService, DenyReason, Pep,
     };

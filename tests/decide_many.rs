@@ -2,12 +2,13 @@
 //! **semantically identical** to issuing the same requests one at a
 //! time, in order — including earlier records in a batch changing the
 //! MMER/MMEP outcome of later same-user requests — across the
-//! symbolized and persistent services and the string engine over the
-//! reference store. The batch only amortises
+//! symbolized and persistent services, and against the spec oracle's
+//! sequential replay. The batch only amortises
 //! mechanics (core snapshot, admission scratch); it must never change
 //! a verdict or the retained ADI.
 
-use msod_rbac::msod::{AdiRecord, MemoryAdi, RetainedAdi, RoleRef};
+use modelcheck::{oracle_request, project, sort_snapshot, Oracle, Verdict};
+use msod_rbac::msod::{AdiRecord, RetainedAdi, RoleRef};
 use msod_rbac::permis::{DecisionOutcome, DecisionRequest, DecisionService};
 use msod_rbac::policy::{parse_rbac_policy, PdpPolicy};
 
@@ -63,16 +64,35 @@ fn entangled_traffic() -> Vec<DecisionRequest> {
     ]
 }
 
-/// The string engine over the reference store, one record list per
-/// shard: the ground truth the symbol plane is compared against.
-fn reference(policy: PdpPolicy, trail_key: &[u8]) -> DecisionService<MemoryAdi> {
-    DecisionService::with_shard_count(policy, trail_key.to_vec(), msod_rbac::msod::DEFAULT_SHARDS)
+/// The spec oracle's sequential replay of `traffic`: its verdict for
+/// each request and the retained state after each prefix (`[0]` is the
+/// empty store) — the ground truth every service is compared against.
+fn reference(
+    policy: &PdpPolicy,
+    traffic: &[DecisionRequest],
+) -> (Vec<Verdict>, Vec<Vec<AdiRecord>>) {
+    let mut oracle = Oracle::new(policy.msod.clone());
+    let mut prefixes = vec![oracle.snapshot()];
+    let verdicts = traffic
+        .iter()
+        .map(|req| {
+            let verdict = oracle.decide(&oracle_request(req));
+            prefixes.push(oracle.snapshot());
+            verdict
+        })
+        .collect();
+    (verdicts, prefixes)
 }
 
-fn sorted_snapshot<A: RetainedAdi + 'static>(svc: &DecisionService<A>) -> Vec<AdiRecord> {
-    let mut snap = svc.adi().snapshot();
-    snap.sort_by(|a, b| (a.timestamp, &a.user).cmp(&(b.timestamp, &b.user)));
-    snap
+/// `decide_many` on `svc` agrees with the oracle's sequential replay,
+/// verdict by verdict, and leaves the same retained state.
+fn assert_batch_equals_reference<A: RetainedAdi + 'static>(svc: &DecisionService<A>) {
+    let policy = svc.core().policy().clone();
+    let traffic = entangled_traffic();
+    let (verdicts, prefixes) = reference(&policy, &traffic);
+    let batched: Vec<Verdict> = svc.decide_many(&traffic).iter().map(project).collect();
+    assert_eq!(batched, verdicts, "batch and the oracle's sequential verdicts diverged");
+    assert_eq!(Some(&svc.adi().snapshot()), prefixes.last());
 }
 
 fn assert_batch_equals_sequential<A, B>(
@@ -95,15 +115,35 @@ fn assert_batch_equals_sequential<A, B>(
     assert!(batched[7].is_granted(), "same-role repeat is not a violation");
 
     // And the retained state is identical.
-    assert_eq!(sorted_snapshot(batch_svc), sorted_snapshot(seq_svc));
+    assert_eq!(batch_svc.adi().snapshot(), seq_svc.adi().snapshot());
 }
 
+/// With explanation capture on, `decide_many` takes its per-request
+/// path; verdicts, state and every captured derivation still match
+/// the oracle's.
 #[test]
 fn batch_equals_sequential_reference() {
     let policy = parse_rbac_policy(POLICY).unwrap();
-    let batch_svc = reference(policy.clone(), b"batch");
-    let seq_svc = reference(policy, b"seq");
-    assert_batch_equals_sequential(&batch_svc, &seq_svc);
+    let svc = DecisionService::new_symbolized(policy.clone(), b"batch".to_vec());
+    svc.metrics().set_capture_explanations(true);
+    // Each derivation against the state its request met: explain, then
+    // decide.
+    let mut oracle = Oracle::new(policy.msod);
+    let want: Vec<_> = entangled_traffic()
+        .iter()
+        .map(|r| {
+            let req = oracle_request(r);
+            let ex = oracle.explain(&req);
+            oracle.decide(&req);
+            ex
+        })
+        .collect();
+    assert_batch_equals_reference(&svc);
+    if msod_rbac::obs::enabled() {
+        let got: Vec<_> =
+            svc.metrics().recent_explanations().into_iter().map(|e| e.msod.unwrap()).collect();
+        assert_eq!(got, want);
+    }
 }
 
 #[test]
@@ -116,13 +156,11 @@ fn batch_equals_sequential_symbolized() {
 
 #[test]
 fn batch_on_symbolized_equals_sequential_on_reference() {
-    // Cross-flavor: the symbolized batch path (shared ReqBufs /
-    // MatchedBuf scratch across the batch) must agree with the plain
-    // string engine over the reference store run one request at a time.
+    // The symbolized batch path (shared ReqBufs / MatchedBuf scratch
+    // across the batch) must agree with the spec oracle run one request
+    // at a time.
     let policy = parse_rbac_policy(POLICY).unwrap();
-    let batch_svc = DecisionService::new_symbolized(policy.clone(), b"batch".to_vec());
-    let seq_svc = reference(policy, b"seq");
-    assert_batch_equals_sequential(&batch_svc, &seq_svc);
+    assert_batch_equals_reference(&DecisionService::new_symbolized(policy, b"batch".to_vec()));
 }
 
 #[test]
@@ -192,12 +230,7 @@ fn crash_mid_batch_recovers_a_strict_prefix() {
     assert!(total > 0, "the batch must journal something");
 
     // The sequential ground truth: retained state after each prefix.
-    let seq_svc = reference(policy.clone(), b"seq");
-    let mut prefixes: Vec<Vec<AdiRecord>> = vec![sorted_snapshot(&seq_svc)];
-    for req in &traffic {
-        seq_svc.decide(req);
-        prefixes.push(sorted_snapshot(&seq_svc));
-    }
+    let (_, prefixes) = reference(&policy, &traffic);
     let full = prefixes.last().unwrap().clone();
     assert!(full.len() >= 4, "traffic must actually retain records");
 
@@ -217,7 +250,7 @@ fn crash_mid_batch_recovers_a_strict_prefix() {
     vfs.power_cut(0xC4A5);
     let recovered = open(&vfs);
     let mut snap = msod_rbac::msod::RetainedAdi::snapshot(&recovered);
-    snap.sort_by(|a, b| (a.timestamp, &a.user).cmp(&(b.timestamp, &b.user)));
+    sort_snapshot(&mut snap);
 
     let k = prefixes
         .iter()

@@ -3,11 +3,11 @@
 //! allowed per business-context instance and the duplicate demands a
 //! genuine repeat — plus its interaction with purge-on-last-step.
 //!
-//! Exercised on both engines of the one `DecisionService` pipeline: the
-//! symbolized fast path and the string engine over the reference
-//! `MemoryAdi` must agree on every verdict.
+//! Exercised on the in-memory and the journaled service, with every
+//! verdict refereed by the spec oracle.
 
-use msod::{ConstraintKind, MemoryAdi, RoleRef};
+use modelcheck::{oracle_request, project, Oracle};
+use msod::{ConstraintKind, RoleRef};
 use permis::{DecisionOutcome, DecisionRequest, DecisionService, DenyReason};
 
 /// MMEP {approve@check, approve@check} m=2 — "the same manager may
@@ -97,23 +97,38 @@ fn assert_mmep_deny(out: &DecisionOutcome, current: usize, historic: usize, m: u
     }
 }
 
-/// Run one scenario on both engines; the closure gets a decide
-/// function so the assertions are written once.
-fn on_both_engines(
+/// Run one scenario on the in-memory and on the journaled service; the
+/// closure gets a decide function so the assertions are written once,
+/// and every verdict must also equal the spec oracle's.
+fn on_both_services(
     xml: &str,
     scenario: impl Fn(&mut dyn FnMut(DecisionRequest) -> DecisionOutcome),
 ) {
-    let symbolized = DecisionService::from_xml_symbolized(xml, b"k".to_vec()).unwrap();
-    scenario(&mut |r| symbolized.decide(&r));
+    static RUN: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
     let policy = policy::parse_rbac_policy(xml).unwrap();
-    let reference =
-        DecisionService::<MemoryAdi>::with_shard_count(policy, b"k".to_vec(), msod::DEFAULT_SHARDS);
-    scenario(&mut |r| reference.decide(&r));
+    let run = RUN.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("msod-dup-{}-{run}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let in_memory = DecisionService::new_symbolized(policy.clone(), b"k".to_vec());
+    let (durable, _) =
+        DecisionService::open_persistent(policy.clone(), b"k".to_vec(), &dir, 4).unwrap();
+    let refereed = |svc: &dyn Fn(&DecisionRequest) -> DecisionOutcome| {
+        let mut oracle = Oracle::new(policy.msod.clone());
+        scenario(&mut |r| {
+            let outcome = svc(&r);
+            assert_eq!(project(&outcome), oracle.decide(&oracle_request(&r)), "{r:?}");
+            outcome
+        });
+    };
+    refereed(&|r| in_memory.decide(r));
+    refereed(&|r| durable.decide(r));
+    drop(durable);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn duplicate_entry_allows_one_exercise_per_instance() {
-    on_both_engines(DUP_POLICY, |decide| {
+    on_both_services(DUP_POLICY, |decide| {
         // First approval consumes one of the two entries: 1 < 2.
         assert!(decide(req("mike", "approve", "check", "Proc=1", 1)).is_granted());
         // The duplicate demands a *repeat* by the same user in the same
@@ -131,7 +146,7 @@ fn duplicate_entry_allows_one_exercise_per_instance() {
 
 #[test]
 fn triple_multiset_needs_every_copy_exercised() {
-    on_both_engines(TRIPLE_POLICY, |decide| {
+    on_both_services(TRIPLE_POLICY, |decide| {
         // approve, approve: the two historic approvals can only satisfy
         // ONE remaining approve entry each time — q (ship) is never
         // exercised, so the multiset {approve, approve, ship} is never
@@ -152,7 +167,7 @@ fn triple_multiset_needs_every_copy_exercised() {
 
 #[test]
 fn last_step_purge_resets_the_duplicate_count() {
-    on_both_engines(DUP_POLICY_LAST_STEP, |decide| {
+    on_both_services(DUP_POLICY_LAST_STEP, |decide| {
         assert!(decide(req("mike", "approve", "check", "Proc=1", 1)).is_granted());
         assert_mmep_deny(&decide(req("mike", "approve", "check", "Proc=1", 2)), 1, 1, 2);
         // The granted last step terminates Proc=1 and purges its

@@ -3,9 +3,7 @@
 //! the journaled service (`open_persistent`) performs no more heap
 //! allocations than the same deny on the in-memory symbolized service
 //! (`new_symbolized`) — denies touch neither the journal nor a string
-//! record — and the run of decides never leaves the symbol plane
-//! (`permis_sym_fallback_total` stays 0; since last steps are decided
-//! on symbols too, only oversize requests could fall back).
+//! record.
 //!
 //! The allocator wrapper follows `crates/msod/tests/zero_alloc.rs`
 //! (per-thread counts, so harness threads cannot pollute the window).
@@ -62,7 +60,8 @@ fn allocations(f: impl FnOnce()) -> usize {
 }
 
 /// Two policies sharing one `Branch=*, Period=!` scope. Every request
-/// in this file fits the interning buffers, so none may fall back.
+/// in this file fits the interning buffers, so none is denied at a
+/// resource limit.
 const POLICY: &str = r#"<RBACPolicy id="alloc" roleType="employee">
   <SOAPolicy><SOA dn="cn=HR"/></SOAPolicy>
   <TargetAccessPolicy>
@@ -156,7 +155,6 @@ fn durable_deny_allocates_no_more_than_in_memory_and_never_falls_back() {
         msod_rbac::msod::DEFAULT_SHARDS,
     )
     .unwrap();
-    assert!(durable.core().sym_engine().is_some());
 
     let mem_allocs = warm_deny_allocations(&in_memory);
     let durable_allocs = warm_deny_allocations(&durable);
@@ -167,12 +165,10 @@ fn durable_deny_allocates_no_more_than_in_memory_and_never_falls_back() {
     assert_eq!(durable.adi().len(), in_memory.adi().len());
     assert_eq!(durable.adi().len(), 65, "denies retain nothing");
 
-    // 64 + 1 grants and 72 denies per service, none a last step: every
-    // one of them was decided on the symbol plane.
+    // 64 + 1 grants and 72 denies per service, none over a limit.
     if msod_rbac::obs::enabled() {
         assert_eq!(durable.metrics().decisions.get(), 137);
-        assert_eq!(durable.metrics().sym_fallbacks.get(), 0);
-        assert!(durable.metrics_text().contains("permis_sym_fallback_total 0"));
+        assert!(durable.metrics_text().contains("permis_reqbuf_overflow_total 0"));
     }
     durable.sync_adi().unwrap();
     drop(durable);

@@ -1,20 +1,19 @@
-//! End-to-end equivalence of the production store and the reference
-//! store under the full PDP: the symbolized service (`SymAdi`) and the
-//! string engine over the paper's flat in-core store (`MemoryAdi`)
-//! must produce identical decision streams, identical snapshots, and
-//! identical recovery behaviour — including on the requests and policy
-//! sets the symbol plane hands to the string engine.
+//! End-to-end equivalence of the decision service and the spec oracle
+//! (`modelcheck::Oracle`, §4.2 transcribed from the paper): the
+//! symbolized service must reach the oracle's verdict on every request,
+//! retain the oracle's records, and recover the oracle's state from its
+//! audit trail. Requests beyond the engine's fixed bounds are the one
+//! deliberate difference: the service denies them unevaluated
+//! (`DenyReason::ResourceLimit`), audits the deny, and retains nothing.
 
+use audit::EventKind;
 use context::ContextInstance;
-use msod::sym::{MAX_CTX_DEPTH, MAX_POLICY_TALLY, MAX_REQ_ROLES};
-use msod::{MemoryAdi, RoleRef};
-use permis::{DecisionRequest, DecisionService};
+use modelcheck::{oracle_request, project, Oracle};
+use msod::sym::{MAX_CTX_DEPTH, MAX_MATCHED, MAX_REQ_ROLES};
+use msod::{RequestLimit, RoleRef};
+use permis::{DecisionRequest, DecisionService, DenyReason};
 use policy::PdpPolicy;
 use workflow::scenarios::{gen_requests, workload_policy_xml, WorkloadConfig};
-
-fn reference(policy: PdpPolicy) -> DecisionService<MemoryAdi> {
-    DecisionService::with_shard_count(policy, b"k".to_vec(), msod::DEFAULT_SHARDS)
-}
 
 #[test]
 fn symbolized_service_matches_reference_on_workload() {
@@ -26,23 +25,17 @@ fn symbolized_service_matches_reference_on_workload() {
         terminate_percent: 6,
     };
     let parsed = policy::parse_rbac_policy(&workload_policy_xml(&cfg)).unwrap();
-
-    let mem_svc = reference(parsed.clone());
-    // The symbolized service must compile this workload onto the symbol
-    // plane and agree with the reference, denies included.
-    let sym_svc = DecisionService::new_symbolized(parsed, b"k".to_vec());
-    assert!(sym_svc.core().sym_engine().is_some(), "workload policy must compile");
-    assert!(mem_svc.core().sym_engine().is_none(), "the reference runs the string engine");
+    let mut oracle = Oracle::new(parsed.msod.clone());
+    let svc = DecisionService::new_symbolized(parsed, b"k".to_vec());
 
     let mut denied = 0;
     for (i, req) in gen_requests(&cfg, 31).iter().enumerate() {
-        let a = mem_svc.decide(req);
-        let b = sym_svc.decide(req);
-        assert_eq!(a, b, "divergence at request {i}");
-        denied += usize::from(!a.is_granted());
+        let got = svc.decide(req);
+        assert_eq!(project(&got), oracle.decide(&oracle_request(req)), "request {i}");
+        denied += usize::from(!got.is_granted());
     }
     assert!(denied > 0, "the workload must exercise the deny path");
-    assert_eq!(mem_svc.adi().snapshot(), sym_svc.adi().snapshot());
+    assert_eq!(svc.adi().snapshot(), oracle.snapshot());
 }
 
 #[test]
@@ -57,38 +50,46 @@ fn symbolized_service_recovers_like_reference() {
     let xml = workload_policy_xml(&cfg);
     let dir = std::env::temp_dir().join(format!("msod-ref-rec-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    // The live service and the oracle see the same stream; the
+    // recovered service must land on the state both reached.
+    let mut oracle = Oracle::new(policy::parse_rbac_policy(&xml).unwrap().msod);
     let live_snapshot = {
         let svc = DecisionService::from_xml_symbolized(&xml, b"k".to_vec()).unwrap();
         svc.attach_store(audit::TrailStore::open(&dir).unwrap());
         for req in gen_requests(&cfg, 8) {
-            svc.decide(&req);
+            assert_eq!(project(&svc.decide(&req)), oracle.decide(&oracle_request(&req)));
         }
         svc.rotate_and_persist().unwrap();
         svc.adi().snapshot()
     };
-    // Recover into BOTH store kinds; snapshots must agree with each
-    // other and with the state the trail was written from.
-    let sym_svc = DecisionService::from_xml_symbolized(&xml, b"k".to_vec()).unwrap();
-    sym_svc.attach_store(audit::TrailStore::open(&dir).unwrap());
-    sym_svc.recover(usize::MAX, 0).unwrap();
-
-    let mem_svc = reference(policy::parse_rbac_policy(&xml).unwrap());
-    mem_svc.attach_store(audit::TrailStore::open(&dir).unwrap());
-    mem_svc.recover(usize::MAX, 0).unwrap();
-
-    assert_eq!(sym_svc.adi().snapshot(), mem_svc.adi().snapshot());
-    assert_eq!(sym_svc.adi().snapshot(), live_snapshot);
+    let svc = DecisionService::from_xml_symbolized(&xml, b"k".to_vec()).unwrap();
+    svc.attach_store(audit::TrailStore::open(&dir).unwrap());
+    let report = svc.recover(usize::MAX, 0).unwrap();
+    assert_eq!(report.undecodable, 0);
+    assert_eq!(svc.adi().snapshot(), live_snapshot);
+    assert_eq!(live_snapshot, oracle.snapshot());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// An RBAC policy over `roles` roles `R0`, `R1`, …, each allowed to `work` and
-/// `finish` on one target, with one MSoD policy scoped `scope` whose
-/// MMER (m = 2) lists the first `mmer_roles` of them and whose last step is
+/// An RBAC policy over `roles` roles `R0`, `R1`, …, each allowed to
+/// `work` and `finish` on one target, with one MSoD policy per entry of
+/// `scopes`, each an MMER (m = 2) over `R0`–`R3` whose last step is
 /// `finish`.
-fn string_route_policy(roles: usize, mmer_roles: usize, scope: &str) -> PdpPolicy {
+fn route_policy(roles: usize, scopes: &[String]) -> PdpPolicy {
     let allowed: String = (0..roles).map(|r| format!("<AllowedRole value=\"R{r}\"/>")).collect();
     let mmer: String =
-        (0..mmer_roles).map(|r| format!("<Role type=\"permisRole\" value=\"R{r}\"/>")).collect();
+        (0..4).map(|r| format!("<Role type=\"permisRole\" value=\"R{r}\"/>")).collect();
+    let policies: String = scopes
+        .iter()
+        .map(|scope| {
+            format!(
+                r#"<MSoDPolicy BusinessContext="{scope}">
+      <LastStep operation="finish" targetURI="t"/>
+      <MMER ForbiddenCardinality="2">{mmer}</MMER>
+    </MSoDPolicy>"#
+            )
+        })
+        .collect();
     policy::parse_rbac_policy(&format!(
         r#"<RBACPolicy id="routes" roleType="permisRole">
   <SOAPolicy><SOA dn="cn=SOA"/></SOAPolicy>
@@ -96,118 +97,169 @@ fn string_route_policy(roles: usize, mmer_roles: usize, scope: &str) -> PdpPolic
     <TargetAccess operation="work" targetURI="t">{allowed}</TargetAccess>
     <TargetAccess operation="finish" targetURI="t">{allowed}</TargetAccess>
   </TargetAccessPolicy>
-  <MSoDPolicySet>
-    <MSoDPolicy BusinessContext="{scope}">
-      <LastStep operation="finish" targetURI="t"/>
-      <MMER ForbiddenCardinality="2">{mmer}</MMER>
-    </MSoDPolicy>
-  </MSoDPolicySet>
+  <MSoDPolicySet>{policies}</MSoDPolicySet>
 </RBACPolicy>"#
     ))
     .unwrap()
 }
 
-/// The symbol plane's string-engine routes, end to end: a policy set
-/// `SymEngine::compile` refuses (an MMER past the tally cap, a context
-/// deeper than the fast path's buffers) leaves the symbolized service
-/// with no engine, and a request with more roles than the interning
-/// buffers hold falls back per request. Each must decide, retain and
-/// explain exactly like the reference, and be counted as a fallback.
-#[test]
-fn string_engine_routes_match_reference() {
-    let deep_scope: Vec<String> = (0..=MAX_CTX_DEPTH).map(|d| format!("T{d}=!")).collect();
-    struct Route {
-        name: &'static str,
-        policy: PdpPolicy,
-        compiles: bool,
-        /// The context instance of requests in instance `k`.
-        context: fn(u64) -> String,
-        /// Roles per request `i` (a window `R{first}..R{first + n}`).
-        roles: fn(u64) -> (usize, usize),
-    }
-    let routes = [
-        Route {
-            name: "MMER past the tally cap",
-            policy: string_route_policy(MAX_POLICY_TALLY + 1, MAX_POLICY_TALLY + 1, "Proc=!"),
-            compiles: false,
-            context: |k| format!("Proc={k}"),
-            roles: |i| ((i * 7) as usize % (MAX_POLICY_TALLY + 1), 1),
-        },
-        Route {
-            name: "context deeper than the buffers",
-            policy: string_route_policy(4, 4, &deep_scope.join(", ")),
-            compiles: false,
-            context: |k| {
-                let outer = (0..MAX_CTX_DEPTH).map(|d| format!("T{d}=v, "));
-                format!("{}T{MAX_CTX_DEPTH}={k}", outer.collect::<String>())
-            },
-            roles: |i| ((i / 5 % 4) as usize, 1),
-        },
-        Route {
-            name: "request with too many roles",
-            policy: string_route_policy(MAX_REQ_ROLES + 4, 4, "Proc=!"),
-            compiles: true,
-            context: |k| format!("Proc={k}"),
-            // Every third request carries MAX_REQ_ROLES + 1 roles, only
-            // one of which the MMER lists.
-            roles: |i| {
-                if i % 3 == 0 {
-                    (3, MAX_REQ_ROLES + 1)
-                } else {
-                    ((i / 5 % 4) as usize, 1)
-                }
-            },
-        },
-    ];
-    for route in routes {
-        let reference = reference(route.policy.clone());
-        let sym = DecisionService::new_symbolized(route.policy, b"k".to_vec());
-        assert_eq!(sym.core().sym_engine().is_some(), route.compiles, "{}", route.name);
+/// `T0=v, T1=v, …` of `depth` components, the last one `T{depth-1}=last`.
+fn deep_instance(depth: usize, last: u64) -> String {
+    let outer = (0..depth - 1).map(|d| format!("T{d}=v, "));
+    format!("{}T{}={last}", outer.collect::<String>(), depth - 1)
+}
 
-        let (mut oversize, mut string_decides, mut denied) = (0u64, 0u64, 0);
+/// One traffic stream in which every third request crosses one of the
+/// engine's fixed bounds.
+struct Route {
+    policy: PdpPolicy,
+    limit: RequestLimit,
+    /// Request `i`'s context instance and roles (a window
+    /// `R{first}..R{first + n}`), over the bound when `over` is set.
+    request: fn(i: u64, over: bool) -> (String, (usize, usize)),
+}
+
+fn routes() -> [Route; 3] {
+    let deep_scope: Vec<String> = (0..=MAX_CTX_DEPTH).map(|d| format!("T{d}=!")).collect();
+    let mut crowd = vec!["Proc=!".to_string(); MAX_MATCHED];
+    crowd.push("Proc=!, Step=!".into());
+    [
+        // A policy deeper than the request buffers compiles; it can only
+        // match requests over the depth bound. A shallow policy keeps
+        // the in-bound traffic evaluated.
+        Route {
+            policy: route_policy(4, &[deep_scope.join(", "), "T0=v, T1=!".into()]),
+            limit: RequestLimit::ContextDepth,
+            request: |i, over| {
+                let depth = MAX_CTX_DEPTH + usize::from(over);
+                (deep_instance(depth, i % 4), ((i / 5 % 4) as usize, 1))
+            },
+        },
+        // Over-limit requests carry MAX_REQ_ROLES + 1 roles, one of which
+        // the MMER lists.
+        Route {
+            policy: route_policy(MAX_REQ_ROLES + 4, &["Proc=!".into()]),
+            limit: RequestLimit::Roles,
+            request: |i, over| {
+                let roles = if over { (3, MAX_REQ_ROLES + 1) } else { ((i / 5 % 4) as usize, 1) };
+                (format!("Proc={}", i % 3), roles)
+            },
+        },
+        // MAX_MATCHED policies match every `Proc` instance — at the bound
+        // — and one more matches its `Step` sub-instances.
+        Route {
+            policy: route_policy(4, &crowd),
+            limit: RequestLimit::MatchedPolicies,
+            request: |i, over| {
+                let step = if over { ", Step=s" } else { "" };
+                (format!("Proc={}{step}", i % 4), ((i / 5 % 4) as usize, 1))
+            },
+        },
+    ]
+}
+
+fn route_request(route: &Route, i: u64, over: bool) -> DecisionRequest {
+    let (context, (first, n)) = (route.request)(i, over);
+    let roles = (first..first + n).map(|r| RoleRef::new("permisRole", format!("R{r}")));
+    let finish = i % 17 == 16;
+    let context: ContextInstance = context.parse().unwrap();
+    let operation = if finish { "finish" } else { "work" };
+    DecisionRequest::with_roles(format!("u{}", i % 4), roles.collect(), operation, "t", context, i)
+}
+
+/// Each bound, end to end, in process: an over-limit request is an
+/// audited `Deny(ResourceLimit)` that leaves the ADI unchanged and is
+/// counted in `permis_reqbuf_overflow_total`; every other request —
+/// decided on the same service, between them — reaches the oracle's
+/// verdict, derivation and state. `decide_many` on a second service
+/// returns the same outcomes.
+#[test]
+fn over_limit_routes_deny_and_the_rest_match_the_oracle() {
+    for route in routes() {
+        let svc = DecisionService::new_symbolized(route.policy.clone(), b"k".to_vec());
+        let mut oracle = Oracle::new(route.policy.msod.clone());
+        let (mut over, mut denied) = (0u64, 0);
+        let mut traffic = Vec::new();
+        let mut outcomes = Vec::new();
+        let name = route.limit;
         for i in 0..120u64 {
-            let (first, n) = (route.roles)(i);
-            let roles = (first..first + n).map(|r| RoleRef::new("permisRole", format!("R{r}")));
-            let finish = i % 17 == 16;
-            let context: ContextInstance = (route.context)(i % 3).parse().unwrap();
-            let req = DecisionRequest::with_roles(
-                format!("u{}", i % 4),
-                roles.collect(),
-                if finish { "finish" } else { "work" },
-                "t",
-                context,
-                i,
-            );
-            let (want, want_ex) = reference.decide_explained(&req);
-            let (got, got_ex) = sym.decide_explained(&req);
-            assert_eq!(got, want, "{}: verdict at request {i}", route.name);
-            // Requests the compiled engine decides (last steps
-            // included) explain as `sym`; every derivation matches the
-            // reference's.
-            let string_route = !route.compiles || n > MAX_REQ_ROLES;
-            if obs::enabled() {
-                let engine = if string_route { "string" } else { "sym" };
-                assert_eq!(got_ex.engine, engine, "{}: request {i}", route.name);
-                assert!(got_ex.msod.is_some(), "{}: request {i}", route.name);
+            let req = route_request(&route, i, i % 3 == 0);
+            let before = svc.adi().snapshot();
+            let (got, got_ex) = svc.decide_explained(&req);
+            if i % 3 == 0 {
+                let reason = Some(&DenyReason::ResourceLimit(route.limit));
+                assert_eq!(got.deny_reason(), reason, "{name}: request {i}");
+                assert_eq!(svc.adi().snapshot(), before, "{name}: request {i}");
+                assert!(got_ex.msod.is_none(), "{name}: request {i}");
+                if obs::enabled() {
+                    assert_eq!(got_ex.engine, "resource_limit", "{name}: request {i}");
+                }
+                over += 1;
+            } else {
+                let oreq = oracle_request(&req);
+                let want_ex = oracle.explain(&oreq);
+                assert_eq!(project(&got), oracle.decide(&oreq), "{name}: request {i}");
+                if obs::enabled() {
+                    assert_eq!(got_ex.engine, "sym", "{name}: request {i}");
+                    assert_eq!(got_ex.msod, Some(want_ex), "{name}: request {i}");
+                }
+                assert_eq!(svc.adi().snapshot(), oracle.snapshot(), "{name}: request {i}");
+                denied += usize::from(!got.is_granted());
             }
-            let got_ex = permis::Explanation { engine: want_ex.engine, ..got_ex };
-            assert_eq!(got_ex, want_ex, "{}: explanation at request {i}", route.name);
-            assert_eq!(sym.adi().snapshot(), reference.adi().snapshot(), "{}: {i}", route.name);
-            oversize += u64::from(n > MAX_REQ_ROLES);
-            string_decides += u64::from(string_route);
-            denied += usize::from(!got.is_granted());
+            traffic.push(req);
+            outcomes.push(got);
         }
-        assert!(denied > 0, "{}: the stream must exercise the deny path", route.name);
-        assert!(!sym.adi().is_empty(), "{}: the stream must retain history", route.name);
+        assert!(over > 0 && denied > 0, "{name}: the stream must cross both paths");
+        assert!(!svc.adi().is_empty(), "{name}: the stream must retain history");
+
+        // Every over-limit deny is in the audit trail, with its reason.
+        let audited = svc.with_trail(|t| {
+            t.open_records()
+                .iter()
+                .filter(|r| r.event.kind == EventKind::Deny)
+                .filter(|r| r.event.note.starts_with("resource limit: "))
+                .count()
+        });
+        assert_eq!(audited as u64, over, "{name}");
         if obs::enabled() {
-            let m = sym.metrics();
-            assert_eq!(m.sym_fallbacks.get(), string_decides, "{}", route.name);
-            assert_eq!(m.reqbuf_overflows.get(), oversize, "{}", route.name);
-            let text = sym.metrics_text();
-            let needle = format!("permis_sym_fallback_total {string_decides}");
-            assert!(text.contains(&needle), "{}: {needle} missing", route.name);
-            let needle = format!("permis_reqbuf_overflow_total {oversize}");
-            assert!(text.contains(&needle), "{}: {needle} missing", route.name);
+            assert_eq!(svc.metrics().resource_limit_denies.get(), over, "{name}");
+            let needle = format!("permis_reqbuf_overflow_total {over}");
+            assert!(svc.metrics_text().contains(&needle), "{name}: {needle} missing");
         }
+
+        let batch = DecisionService::new_symbolized(route.policy, b"k".to_vec());
+        assert_eq!(batch.decide_many(&traffic), outcomes, "{name}: decide_many");
+        assert_eq!(batch.adi().snapshot(), svc.adi().snapshot(), "{name}");
     }
+}
+
+/// A policy whose constraints list more distinct entries than the
+/// engine tallies is refused when the policy document is parsed, so no
+/// service can be built over it.
+#[test]
+fn over_tally_policy_is_refused_at_parse() {
+    let tally = msod::sym::MAX_POLICY_TALLY;
+    let mmer: String =
+        (0..=tally).map(|r| format!("<Role type=\"permisRole\" value=\"R{r}\"/>")).collect();
+    let xml = format!(
+        r#"<RBACPolicy id="tally" roleType="permisRole">
+  <SOAPolicy><SOA dn="cn=SOA"/></SOAPolicy>
+  <TargetAccessPolicy>
+    <TargetAccess operation="work" targetURI="t"><AllowedRole value="R0"/></TargetAccess>
+  </TargetAccessPolicy>
+  <MSoDPolicySet>
+    <MSoDPolicy BusinessContext="Proc=!">
+      <MMER ForbiddenCardinality="2">{mmer}</MMER>
+    </MSoDPolicy>
+  </MSoDPolicySet>
+</RBACPolicy>"#
+    );
+    match policy::parse_rbac_policy(&xml) {
+        Err(policy::PolicyError::Msod(msod::MsodError::TooManyEntries { entries, max })) => {
+            assert_eq!((entries, max), (tally + 1, tally));
+        }
+        other => panic!("expected the tally refusal, got {other:?}"),
+    }
+    let at_bound = xml.replace(&format!("<Role type=\"permisRole\" value=\"R{tally}\"/>"), "");
+    assert!(policy::parse_rbac_policy(&at_bound).is_ok());
 }
